@@ -51,7 +51,7 @@ fault-smoke:
 	python tools/fault_smoke.py
 
 audit-smoke:
-	python -m repro run fig13 --audit full
+	python -m repro run fig13 design_space_plus --audit full
 
 fuzz-smoke:
 	python -m repro fuzz --specs 200 --seed 0 --no-corpus
@@ -76,12 +76,13 @@ ci:
 	python -m pytest -q -m goldens tests/
 	python tools/check_regression.py
 	python tools/fault_smoke.py
-	python -m repro run fig13 --audit full
+	python -m repro run fig13 design_space_plus --audit full
 	python -m repro fuzz --specs 200 --seed 0 --no-corpus
 	python -m pytest -q tests/store/
 	python tools/serve_smoke.py
 	python tools/serve_chaos.py
 	python -m repro report fig13 fig16 --top 5
 	python tools/dse_smoke.py
+	python -m pytest benchmarks/suite -q
 
 all: test bench experiments

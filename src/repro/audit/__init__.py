@@ -16,10 +16,9 @@ byte-identical — the instrumented models pay one plain-bool check):
   equivalence) evaluated in-line by the systolic simulator, scheduler,
   DMA engine, dual-MXU model, memory models and GPU timing models;
 - :mod:`repro.audit.differential` — ``full``-level cross-model
-  consistency: the reference scheduler, the vectorized
-  ``ScheduleArrays`` engine and the memoized perf cache must agree
-  bit-for-bit per layer (verified once per perf-cache key, so repeated
-  layers stay cheap);
+  consistency: the per-item reference scheduler, the schedule engine and
+  the memoized perf cache must agree bit-for-bit per layer (verified once
+  per perf-cache key, so repeated layers stay cheap);
 - :mod:`repro.audit.fuzz` — the ``repro fuzz`` harness: seeded
   hostile-corner ConvSpec generation, full-audit execution, greedy
   deterministic shrinking of failures, and the crash-safe
@@ -41,7 +40,7 @@ from .auditor import (
     reset,
     snapshot,
 )
-from .differential import verify_conv_layer, verify_gemm_layer
+from .differential import verify_layer
 from .fuzz import (
     CORPUS_SCHEMA,
     DEFAULT_CORPUS_DIR,
@@ -89,8 +88,7 @@ __all__ = [
     "check_sram_latency",
     "check_gpu_kernel",
     "check_gpu_channel_first",
-    "verify_conv_layer",
-    "verify_gemm_layer",
+    "verify_layer",
     "CORPUS_SCHEMA",
     "DEFAULT_CORPUS_DIR",
     "FuzzReport",

@@ -14,8 +14,8 @@ Levels:
   accounting, utilization range, roofline lower bounds, DRAM byte
   bounds, FLOP equivalence);
 - ``full``  — everything in ``cheap`` plus per-layer differential
-  checks: the per-item reference pipeline, the vectorized
-  ``ScheduleArrays`` executor, the memo cache and the oracle bounds must
+  checks: the per-item reference pipeline, the schedule engine
+  (:mod:`repro.perf.batch`), the memo cache and the oracle bounds must
   all agree, verified once per perf-cache fingerprint so repeated layers
   stay cheap.
 

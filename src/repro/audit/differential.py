@@ -1,20 +1,21 @@
-"""Full-level differential checks: every execution path must agree.
+"""Full-level differential checks: the engine must agree with the oracle.
 
-The repo prices each layer through several interchangeable machineries —
-the per-item reference scheduler fold, the vectorized
-:class:`~repro.perf.schedule_arrays.ScheduleArrays` executor, and the
-fingerprint-keyed simulation memo that may serve either from cache.  The
+Every memoized TPU pricing path builds its schedule with the one schedule
+engine (:mod:`repro.perf.batch`, a single layer being a batch of one) and
+may be served from the fingerprint-keyed simulation memo instead.  The
+per-item scheduler — its builders and its scalar fold
+:func:`~repro.systolic.scheduler.execute_schedule` — is the oracle.  The
 bit-exactness contract between them is what the golden snapshots and the
-perf layer's equivalence tests assert *offline*; at ``--audit full`` it
-is enforced *at run time*, per layer:
+perf layer's equivalence tests assert *offline*; at ``--audit full`` it is
+enforced *at run time*, per layer, by :func:`verify_layer` (channel-first
+conv, GEMM and multi-MXU conv alike, with the MXU count as a parameter):
 
 - ``diff.reference-vs-vectorized`` — rebuild the schedule with the
   per-item reference builder, execute it with the reference fold, and
   compare every :class:`~repro.systolic.scheduler.ScheduleResult` field
-  bit-for-bit against the vectorized executor;
-- ``diff.executor-equivalence`` — feed the *same* vectorized arrays
-  through the reference fold (isolates executor drift from builder
-  drift);
+  bit-for-bit against the engine;
+- ``diff.executor-equivalence`` — feed the *same* engine schedule through
+  the reference fold (isolates executor drift from builder drift);
 - ``diff.cache-coherence`` — the served (possibly memoized) result must
   equal the fresh recomputation, so a stale or corrupted cache entry is
   caught the moment it is used.
@@ -26,7 +27,7 @@ fast: repeated layers cost one set lookup.
 One cost control keeps ``full`` usable on real experiment sweeps:
 schedules above :data:`DIFFERENTIAL_ITEM_CAP` work items skip the
 O(items) reference re-runs (the per-item builder and fold are pure
-Python and dwarf the vectorized path on 50k-item GEMMs).  The cheap
+Python and dwarf the engine on 50k-item GEMMs).  The cheap
 ``diff.cache-coherence`` comparison still runs for every key, and every
 skip is counted in the auditor's ``differential_skipped`` — surfaced in
 the snapshot and as a trace instant, never silent.
@@ -34,13 +35,13 @@ the snapshot and as a trace instant, never silent.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Callable, List, Tuple
 
 from ..trace import tracer as _trace
 from . import auditor as _auditor
 from .invariants import fingerprint_context
 
-__all__ = ["DIFFERENTIAL_ITEM_CAP", "verify_conv_layer", "verify_gemm_layer"]
+__all__ = ["DIFFERENTIAL_ITEM_CAP", "verify_layer"]
 
 #: Schedules with more work items than this skip the per-item reference
 #: re-runs (counted, never silent).  1024 items ≈ a millisecond of
@@ -88,53 +89,62 @@ def _compare(invariant: str, left, right, message: str, context) -> None:
     )
 
 
-def verify_conv_layer(
-    key: Tuple, spec, config, engine, result, *, group_size: int, layout
+def verify_layer(
+    key: Tuple,
+    result,
+    schedule: Callable[[], Any],
+    reference: Callable[[], List[Any]],
+    *,
+    config,
+    layer: str,
+    spec=None,
+    arrays: int = 1,
+    **context: Any,
 ) -> None:
-    """Differential-check one conv layer (once per perf-cache key)."""
+    """Differential-check one memoized layer result (once per perf-cache key).
+
+    ``schedule`` builds the layer's engine schedule
+    (:class:`~repro.perf.schedule_arrays.ScheduleArrays`) and ``reference``
+    its per-item :class:`~repro.systolic.scheduler.WorkItem` list; both are
+    zero-argument callables, so an already-verified key costs one set lookup
+    and the pure-Python reference builder runs only under the size cap.
+    ``arrays`` is the MXU count both executors round-robin the items over.
+    ``config``, ``spec`` and ``context`` name the layer in a violation's
+    payload; ``layer`` labels its trace span.
+    """
     auditor = _auditor.get_auditor()
     if key in auditor.verified_keys:
         return
     auditor.verified_keys.add(key)
     # Imported lazily: the audit package must not pull the simulators in
     # at import time (they import *us* for instrumentation).
-    from ..perf.schedule_arrays import (
-        channel_first_schedule_arrays,
-        execute_schedule_arrays,
-    )
-    from ..systolic.scheduler import channel_first_schedule, execute_schedule
+    from ..perf.schedule_arrays import execute_schedule_arrays
+    from ..systolic.scheduler import execute_schedule
 
-    context = fingerprint_context(spec, config, group_size=group_size)
-    with _trace.span("audit.differential", cat="audit", layer=spec.name or "conv"):
-        arrays = channel_first_schedule_arrays(
-            spec, config, engine, group_size=group_size, layout=layout
-        )
-        vectorized = execute_schedule_arrays(arrays)
-        if vectorized.items <= DIFFERENTIAL_ITEM_CAP:
-            item_fold = execute_schedule(arrays.to_work_items())
+    if arrays != 1:
+        context["arrays"] = arrays
+    context = fingerprint_context(spec, config, **context)
+    with _trace.span("audit.differential", cat="audit", layer=layer):
+        built = schedule()
+        engine = execute_schedule_arrays(built, arrays)
+        if engine.items <= DIFFERENTIAL_ITEM_CAP:
             _compare(
                 "diff.executor-equivalence",
-                vectorized,
-                item_fold,
-                "vectorized executor disagrees with the reference fold on the "
+                engine,
+                execute_schedule(built.to_work_items(), arrays),
+                "schedule engine disagrees with the reference fold on the "
                 "same schedule",
                 context,
             )
-            reference = execute_schedule(
-                channel_first_schedule(
-                    spec, config, engine, group_size=group_size, layout=layout
-                )
-            )
             _compare(
                 "diff.reference-vs-vectorized",
-                reference,
-                vectorized,
-                "reference schedule pipeline disagrees with the vectorized "
-                "ScheduleArrays path",
+                execute_schedule(reference(), arrays),
+                engine,
+                "reference schedule pipeline disagrees with the schedule engine",
                 context,
             )
         else:
-            _skip_reference(vectorized.items, spec.name or "conv")
+            _skip_reference(engine.items, layer)
         served = (
             result.cycles,
             result.compute_cycles,
@@ -143,11 +153,11 @@ def verify_conv_layer(
             result.macs,
         )
         fresh = (
-            vectorized.total_cycles,
-            vectorized.compute_cycles,
-            vectorized.dma_cycles,
-            vectorized.exposed_dma_cycles,
-            vectorized.macs,
+            engine.total_cycles,
+            engine.compute_cycles,
+            engine.dma_cycles,
+            engine.exposed_dma_cycles,
+            engine.macs,
         )
         _auditor.check(
             "diff.cache-coherence",
@@ -155,65 +165,5 @@ def verify_conv_layer(
             expected=fresh,
             actual=served,
             message="memoized layer result disagrees with a fresh recomputation",
-            context=context,
-        )
-
-
-def verify_gemm_layer(key: Tuple, shape, config, engine, result) -> None:
-    """Differential-check one raw GEMM layer (once per perf-cache key)."""
-    auditor = _auditor.get_auditor()
-    if key in auditor.verified_keys:
-        return
-    auditor.verified_keys.add(key)
-    from ..perf.schedule_arrays import (
-        execute_schedule_arrays,
-        gemm_schedule_arrays,
-    )
-    from ..systolic.scheduler import execute_schedule, gemm_schedule
-
-    context = fingerprint_context(None, config, shape=(shape.m, shape.n, shape.k))
-    with _trace.span("audit.differential", cat="audit", layer="gemm"):
-        arrays = gemm_schedule_arrays(shape, config, engine)
-        vectorized = execute_schedule_arrays(arrays)
-        if vectorized.items <= DIFFERENTIAL_ITEM_CAP:
-            item_fold = execute_schedule(arrays.to_work_items())
-            _compare(
-                "diff.executor-equivalence",
-                vectorized,
-                item_fold,
-                "vectorized executor disagrees with the reference fold on the "
-                "same GEMM schedule",
-                context,
-            )
-            reference = execute_schedule(gemm_schedule(shape, config, engine))
-            _compare(
-                "diff.reference-vs-vectorized",
-                reference,
-                vectorized,
-                "reference GEMM pipeline disagrees with the vectorized path",
-                context,
-            )
-        else:
-            _skip_reference(vectorized.items, "gemm")
-        served = (
-            result.cycles,
-            result.compute_cycles,
-            result.dma_cycles,
-            result.exposed_dma_cycles,
-            result.macs,
-        )
-        fresh = (
-            vectorized.total_cycles,
-            vectorized.compute_cycles,
-            vectorized.dma_cycles,
-            vectorized.exposed_dma_cycles,
-            vectorized.macs,
-        )
-        _auditor.check(
-            "diff.cache-coherence",
-            served == fresh,
-            expected=fresh,
-            actual=served,
-            message="memoized GEMM result disagrees with a fresh recomputation",
             context=context,
         )

@@ -117,8 +117,21 @@ class WorkQueue:
     def claim(
         self, task_id: str, owner: str, ttl_s: float
     ) -> Optional[LeaseRecord]:
+        """Lease ``task_id`` for ``owner``; ``None`` if another owner holds
+        it or it is already completed.
+
+        The result check runs once the lease is held.  An owner appends its
+        result before it releases the lease, so any earlier holder's result
+        is visible here: a worker acting on a stale pending list never
+        re-evaluates a completed task.
+        """
         lease = try_acquire(self.lease_path(task_id), owner, ttl_s)
-        if lease is not None and lease.generation > 1:
+        if lease is None:
+            return None
+        if self.has_result(task_id):
+            self.release(task_id, owner)
+            return None
+        if lease.generation > 1:
             obs_log.warning(
                 "dse.lease.steal",
                 task=task_id, owner=owner, generation=lease.generation,
@@ -150,6 +163,13 @@ class WorkQueue:
         crash_safe_append(
             self.shard_path(task_id), json.dumps(record, sort_keys=True),
             fsync=True,
+        )
+
+    def has_result(self, task_id: str) -> bool:
+        """Whether ``task_id``'s result shard holds a readable result."""
+        return any(
+            doc.get("task_id") == task_id and "result" in doc
+            for doc in self._read_jsonl(self.shard_path(task_id), schema=TASK_SCHEMA)
         )
 
     def load_results(self) -> Dict[str, Dict[str, Any]]:

@@ -1,11 +1,14 @@
-"""Performance layer: vectorized schedules + simulation memoization.
+"""Performance layer: one schedule engine + simulation memoization.
 
 Two orthogonal accelerations for the whole evaluation harness, both with a
-bit-exactness contract against the per-item reference paths:
+bit-exactness contract against the per-item reference scheduler (the
+scalar oracle):
 
-- :mod:`repro.perf.schedule_arrays` — struct-of-arrays schedules
-  (:class:`ScheduleArrays`) built and executed with NumPy instead of
-  per-tile Python objects;
+- :mod:`repro.perf.batch` — the schedule engine: builds struct-of-arrays
+  schedules (:class:`ScheduleArrays`, :mod:`repro.perf.schedule_arrays`)
+  for a batch of layers with shared pricing and executes them as one
+  segmented NumPy recurrence; a single layer is a batch of one
+  (:func:`execute_schedule_arrays`);
 - :mod:`repro.perf.cache` — a process-wide memo for simulation results,
   keyed by structural fingerprints of configs and problem specs.
 
@@ -28,12 +31,7 @@ from .cache import (
 )
 from .schedule_arrays import (
     ScheduleArrays,
-    channel_first_schedule_arrays,
-    conv_schedule_arrays_from_groups,
-    execute_multi_array_schedule,
     execute_schedule_arrays,
-    gemm_schedule_arrays,
-    pipeline_free_times,
     pipeline_free_times_segmented,
     schedule_construction_count,
 )
@@ -58,12 +56,7 @@ __all__ = [
     "set_cache_enabled",
     "spec_key",
     "ScheduleArrays",
-    "channel_first_schedule_arrays",
-    "conv_schedule_arrays_from_groups",
-    "execute_multi_array_schedule",
     "execute_schedule_arrays",
-    "gemm_schedule_arrays",
-    "pipeline_free_times",
     "pipeline_free_times_segmented",
     "schedule_construction_count",
     "BatchPricer",

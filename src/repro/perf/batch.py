@@ -1,12 +1,12 @@
-"""Cross-layer batched schedule engine: one pricing pass, one recurrence.
+"""The schedule engine: batched construction and one segmented recurrence.
 
-PR 1's :mod:`repro.perf.schedule_arrays` vectorized the two-resource
-pipeline *within* a layer; after it, harness time is dominated by dispatch —
-thousands of sub-100µs ``simulate_conv`` calls each rebuilding the same
-tiny set of scalar costs and running the recurrence on its own short
-arrays.  This module amortizes scheduling across a whole batch of layers
-(the implicit-im2col move — amortize the lowering across the GEMM — applied
-one level up):
+Every memoized TPU pricing path builds its schedule here and executes it
+here — a single layer is simply a batch of one (through the thin
+:func:`~repro.perf.schedule_arrays.execute_schedule_arrays` wrapper).  The
+per-item scheduler (:mod:`repro.systolic.scheduler`) is the scalar oracle
+the engine is gated against, never a production path.  Scheduling is
+amortized across a whole batch of layers (the implicit-im2col move —
+amortize the lowering across the GEMM — applied one level up):
 
 - **Construction** (:func:`conv_schedule_batch` / :func:`gemm_schedule_batch`):
   each schedule's K×N chunk grid holds at most four distinct values per cost
@@ -21,19 +21,23 @@ one level up):
   padded row-wise ``cumsum`` is bit-identical to each job's own), and the
   pipeline recurrence runs once over the flat arrays via
   :func:`~repro.perf.schedule_arrays.pipeline_free_times_segmented` with
-  forced restarts at job boundaries.
+  forced restarts at chain boundaries.  With ``arrays`` MXUs each job's
+  items round-robin over the engines, and every (job, engine) chain is one
+  forced-restart segment.
 
-**Bit-exactness to the per-layer path is a hard contract**: the same scalar
+**Bit-exactness to the scalar oracle is a hard contract**: the same scalar
 pricing functions are called with the same argument tuples, every array
 element lands where the item scheduler would have emitted it, and every
 reduction keeps the reference's left-to-right association.  The equivalence
-tests (``tests/perf/test_batch.py``) gate this to the last float bit.
+tests (``tests/perf/test_executor_equivalence.py``,
+``tests/perf/test_batch.py``) gate this to the last float bit.
 
 Audit note: scalar-cost sharing across specs means ``ifmap_tile_fill_cycles``
 runs once per distinct feature tuple, not once per spec — the same
 "verified once per key" policy the perf cache already applies.  Under
-``--audit full`` the differential checker re-prices every layer through the
-per-layer builders, so per-spec audit coverage is unchanged.
+``--audit full`` the differential checker rebuilds every layer's schedule
+as a batch of one and re-runs it through the per-item oracle, so per-spec
+audit coverage is unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from ..core.conv_spec import ConvSpec, GemmShape
 from ..core.layouts import Layout
-from ..core.tiling import plan_multi_tile
+from ..core.tiling import MultiTileGroup, plan_multi_tile
 from ..trace import tracer as trace
 from ..systolic.config import TPUConfig
 from ..systolic.dma import FillEngine
@@ -275,6 +279,35 @@ class BatchPricer:
 # --------------------------------------------------------------------------
 
 
+def _assemble_blocks(templates: dict, rows_sequence: List[int]) -> _sa.ScheduleArrays:
+    """Concatenate per-block templates in block order (tiling equal runs)."""
+    parts_fill: List[np.ndarray] = []
+    parts_gemm: List[np.ndarray] = []
+    parts_drain: List[np.ndarray] = []
+    parts_macs: List[np.ndarray] = []
+    i = 0
+    while i < len(rows_sequence):
+        rows = rows_sequence[i]
+        j = i
+        while j < len(rows_sequence) and rows_sequence[j] == rows:
+            j += 1
+        fill, gemm, drain, macs = templates[rows]
+        reps = j - i
+        parts_fill.append(np.tile(fill, reps) if reps > 1 else fill)
+        parts_gemm.append(np.tile(gemm, reps) if reps > 1 else gemm.copy())
+        parts_drain.append(np.tile(drain, reps) if reps > 1 else drain)
+        parts_macs.append(np.tile(macs, reps) if reps > 1 else macs)
+        i = j
+    if len(parts_fill) == 1:
+        return _sa.ScheduleArrays(parts_gemm[0], parts_fill[0], parts_drain[0], parts_macs[0])
+    return _sa.ScheduleArrays(
+        gemm_cycles=np.concatenate(parts_gemm),
+        fill_cycles=np.concatenate(parts_fill),
+        drain_cycles=np.concatenate(parts_drain),
+        macs=np.concatenate(parts_macs),
+    )
+
+
 def _conv_template(
     spec: ConvSpec,
     rows: int,
@@ -319,19 +352,25 @@ def conv_schedule_batch(
     engine: Optional[FillEngine] = None,
     layout: Layout = Layout.NHWC,
     pricer: Optional[BatchPricer] = None,
+    groups: Optional[Sequence[Optional[Sequence[MultiTileGroup]]]] = None,
 ) -> List[_sa.ScheduleArrays]:
     """Array schedules for ``(spec, group_size)`` jobs with shared pricing.
 
-    Bit-identical per job to
-    :func:`~repro.perf.schedule_arrays.channel_first_schedule_arrays`.
+    ``groups``, when given, holds one entry per job: that job's tile groups
+    (e.g. the kept positions of a sparse mask), or ``None`` for the default
+    row-aligned multi-tile plan.  Bit-identical per job to the per-item
+    builders :func:`~repro.systolic.scheduler.channel_first_schedule` and
+    :func:`~repro.systolic.sparse_schedule.sparse_channel_first_schedule`.
     """
     engine = engine if engine is not None else FillEngine(config)
     if pricer is None:
         pricer = BatchPricer(config, engine)
     schedules: List[_sa.ScheduleArrays] = []
-    for spec, group_size in jobs:
+    for index, (spec, group_size) in enumerate(jobs):
         _sa._CONSTRUCTION_COUNT += 1
-        groups = plan_multi_tile(spec, group_size, row_aligned=True)
+        job_groups = groups[index] if groups is not None else None
+        if job_groups is None:
+            job_groups = plan_multi_tile(spec, group_size, row_aligned=True)
         m_total = spec.lowered_rows()
         m_block = ifmap_rows_per_block(spec, config, group_size)
         n_blocks = -(-m_total // m_block)
@@ -339,12 +378,12 @@ def conv_schedule_batch(
             m_total - m_block * (n_blocks - 1)
         ]
         templates = {
-            rows: _conv_template(spec, rows, groups, pricer, layout)
+            rows: _conv_template(spec, rows, job_groups, pricer, layout)
             for rows in set(rows_sequence)
         }
-        schedule = _sa._assemble_blocks(templates, rows_sequence)
-        if len(schedule) and groups:
-            first_k = min(config.array_rows, groups[0].merged_k)
+        schedule = _assemble_blocks(templates, rows_sequence)
+        if len(schedule):
+            first_k = min(config.array_rows, job_groups[0].merged_k)
             first_n = min(config.array_cols, spec.c_out)
             schedule.gemm_cycles[0] = pricer.occupancy(
                 rows_sequence[0], first_k, first_n, first=True
@@ -364,8 +403,8 @@ def gemm_schedule_batch(
 ) -> List[_sa.ScheduleArrays]:
     """Array schedules for GEMM shapes with shared pricing.
 
-    Bit-identical per shape to
-    :func:`~repro.perf.schedule_arrays.gemm_schedule_arrays`.
+    Bit-identical per shape to the per-item builder
+    :func:`~repro.systolic.scheduler.gemm_schedule`.
     """
     engine = engine if engine is not None else FillEngine(config)
     if pricer is None:
@@ -390,7 +429,7 @@ def gemm_schedule_batch(
             rows: pricer.gemm_grid(rows, shape.k, shape.n)
             for rows in set(rows_sequence)
         }
-        schedule = _sa._assemble_blocks(templates, rows_sequence)
+        schedule = _assemble_blocks(templates, rows_sequence)
         if len(schedule):
             first_n = min(config.array_cols, shape.n)
             schedule.gemm_cycles[0] = pricer.occupancy(
@@ -434,17 +473,40 @@ def _length_buckets(widths: np.ndarray) -> List[np.ndarray]:
     return buckets
 
 
+def _engine_major(
+    starts: np.ndarray, alens: np.ndarray, arrays: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Order grouping each job's items by engine, and its chain starts.
+
+    Item ``i`` of a job runs on engine ``i % arrays``.  The returned order
+    keeps jobs in place and lists each job's engine chains one after
+    another (items in schedule order within a chain); the chain starts index
+    that reordered array.
+    """
+    job_of = np.repeat(np.arange(alens.size, dtype=np.int64), alens)
+    local = np.arange(job_of.size, dtype=np.int64) - np.repeat(starts, alens)
+    chain = job_of * arrays + local % arrays
+    order = np.argsort(chain, kind="stable")
+    chain_starts = np.flatnonzero(np.diff(chain[order], prepend=-1))
+    return order, chain_starts
+
+
 def execute_schedule_batch(
-    schedules: Sequence[_sa.ScheduleArrays],
+    schedules: Sequence[_sa.ScheduleArrays], arrays: int = 1
 ) -> List[ScheduleResult]:
     """Execute many schedules as one flat segmented batch.
 
-    Per-job results are bit-identical to
-    :func:`~repro.perf.schedule_arrays.execute_schedule_arrays`: row-wise
-    cumulative sums on a zero-padded 2-D layout reproduce each job's own
-    left-associated sums (adding ``0.0`` is exact), and the pipeline
-    recurrences — compute chain and drained write chain — run over the
-    concatenated arrays with forced restarts at job boundaries.
+    Per-job results are bit-identical to the scalar oracle
+    :func:`~repro.systolic.scheduler.execute_schedule` (with the same
+    ``arrays``): row-wise cumulative sums on a zero-padded 2-D layout
+    reproduce each job's own left-associated sums (adding ``0.0`` is
+    exact), and the pipeline recurrences — the compute chains and the
+    drained write chain — run over the concatenated arrays with forced
+    restarts at chain boundaries.
+
+    ``arrays`` MXUs share the read and write DMA channels; each job's items
+    round-robin over them, so every (job, engine) pair is its own compute
+    chain and a job's compute finishes with its latest chain.
     """
     lens = np.array([len(s) for s in schedules], dtype=np.int64)
     jobs = int(lens.size)
@@ -453,9 +515,10 @@ def execute_schedule_batch(
     nonempty = np.flatnonzero(lens)
     if nonempty.size == 0:
         return [_empty_result() for _ in schedules]
-    if 2 * int(lens.sum()) > _MAX_PADDED_ELEMENTS:
-        # Batch too large to stage even through ~2x-payload bucket pads.
-        return [_sa.execute_schedule_arrays(s) for s in schedules]
+    if nonempty.size > 1 and 2 * int(lens.sum()) > _MAX_PADDED_ELEMENTS:
+        # Batch too large to stage even through ~2x-payload bucket pads.  A
+        # lone job is never padded, so these batches of one cannot recurse.
+        return [execute_schedule_batch([s], arrays)[0] for s in schedules]
     if trace.enabled():
         trace.counter("schedule.batched_executions", 1, cat="schedule")
         trace.counter("schedule.batched_jobs", int(nonempty.size), cat="schedule")
@@ -480,6 +543,19 @@ def execute_schedule_batch(
     compute_busy = np.empty(j, dtype=np.float64)
     dma_busy = np.empty(j, dtype=np.float64)
     for idxs in _length_buckets(alens):
+        if idxs.size == 1:
+            # A lone job needs no pad: plain 1-D cumsums are its own sums.
+            i = int(idxs[0])
+            segment = slice(int(starts[i]), int(starts[i] + alens[i]))
+            job_read = np.cumsum(fill[segment])
+            read_free[segment] = job_read
+            read_free_last[i] = job_read[-1]
+            compute_busy[i] = np.cumsum(gemm[segment])[-1]
+            inter = np.empty(2 * int(alens[i]), dtype=np.float64)
+            inter[0::2] = fill[segment]
+            inter[1::2] = drain[segment]
+            dma_busy[i] = np.cumsum(inter)[-1]
+            continue
         widths = alens[idxs]
         bucket_max = int(widths[0])
         rows = np.arange(idxs.size)
@@ -511,25 +587,35 @@ def execute_schedule_batch(
         inter[:, 1::2][mask] = bucket_drain
         dma_busy[idxs] = np.cumsum(inter, axis=1)[rows, 2 * widths - 1]
 
-    # Compute chain: the segmented pipeline recurrence.
-    compute_free = _sa.pipeline_free_times_segmented(read_free, gemm, starts)
-    compute_free_last = compute_free[starts + alens - 1]
+    # Compute chains: the segmented pipeline recurrence, one forced-restart
+    # segment per (job, engine) chain, solved engine-major and scattered back.
+    if arrays == 1:
+        compute_free = _sa.pipeline_free_times_segmented(read_free, gemm, starts)
+    else:
+        order, chain_starts = _engine_major(starts, alens, arrays)
+        compute_free = np.empty_like(read_free)
+        compute_free[order] = _sa.pipeline_free_times_segmented(
+            read_free[order], gemm[order], chain_starts
+        )
+    # Chains never run backwards, so this max is the latest chain's last
+    # element — with one engine, simply the job's last element.
+    compute_finish = np.maximum.reduceat(compute_free, starts)
 
     # Write channel: the drained sub-chain, segmented per job.
     write_final = np.zeros(j, dtype=np.float64)
     drained = np.flatnonzero(drain)
     if drained.size:
-        job_of = np.repeat(np.arange(j, dtype=np.int64), alens)
-        dj = job_of[drained]
-        dstarts = np.flatnonzero(np.diff(dj, prepend=dj[0] - 1))
-        dends = np.append(dstarts[1:], dj.size) - 1
+        # Each job's drained items, as index bounds into ``drained``.
+        first = np.searchsorted(drained, starts)
+        last = np.searchsorted(drained, starts + alens) - 1
+        has = last >= first
         w = _sa.pipeline_free_times_segmented(
-            compute_free[drained], drain[drained], dstarts
+            compute_free[drained], drain[drained], first[has]
         )
-        write_final[dj[dstarts]] = w[dends]
+        write_final[has] = w[last[has]]
 
-    total = np.maximum(np.maximum(compute_free_last, read_free_last), write_final)
-    exposed = np.maximum(0.0, total - compute_busy)
+    total = np.maximum(np.maximum(compute_finish, read_free_last), write_final)
+    exposed = np.maximum(0.0, total - compute_busy / arrays)
 
     results: List[ScheduleResult] = [_empty_result() for _ in schedules]
     for pos, sched_idx in enumerate(nonempty.tolist()):

@@ -1,63 +1,40 @@
-"""Struct-of-arrays schedules: the vectorized twin of the item scheduler.
+"""Struct-of-arrays schedules and the exact vectorized pipeline recurrence.
 
 The per-item scheduler (:mod:`repro.systolic.scheduler`) materialises one
 :class:`~repro.systolic.scheduler.WorkItem` dataclass per stationary tile and
-folds over them in Python — clear, but every experiment pays tens of
-thousands of attribute lookups per layer.  This module holds the same
-schedule as four parallel NumPy arrays (:class:`ScheduleArrays`) and executes
-the two-resource pipeline as a prefix recurrence over them.
+folds over them in Python — clear, and kept as the scalar oracle, but every
+layer would pay tens of thousands of attribute lookups.  This module holds
+the same schedule as four parallel NumPy arrays (:class:`ScheduleArrays`),
+which the one schedule engine (:mod:`repro.perf.batch`) builds and executes.
 
 **Bit-exactness is a hard contract**, not an aspiration: every cycle count
-produced here must equal the per-item path's result to the last float bit,
-because the exported results are compared textually at full precision.
+the engine produces must equal the per-item path's result to the last float
+bit, because the exported results are compared textually at full precision.
 
-Two properties make that possible:
+The pipeline recurrence ``w_i = max(w_{i-1}, s_i) + a_i`` is evaluated by
+:func:`pipeline_free_times_segmented` with strictly left-to-right associated
+additions (``np.cumsum`` over restart segments), matching the reference
+fold's rounding exactly; a naive closed form
+(``cumsum(a) + maximum.accumulate(s - cumsum(a))``) reassociates the sums and
+drifts by ulps, so it is used only as the segmentation *guess* and the
+result is verified against the recurrence's fixpoint condition.
 
-- *Construction*: each scalar cost (weight fill, IFMap fill, drain,
-  occupancy) takes values from a tiny set of distinct arguments — block rows
-  are ``m_block`` or one remainder, K/N chunks are full or one tail.  The
-  builders call the **same** scalar pricing functions once per distinct
-  argument tuple and tile the per-block template, so every array element is
-  the identical float the item path would have computed.
-- *Execution*: the pipeline recurrence ``w_i = max(w_{i-1}, s_i) + a_i`` is
-  evaluated by :func:`pipeline_free_times` with strictly left-to-right
-  associated additions (``np.cumsum`` over restart segments), matching the
-  reference fold's rounding exactly; a naive closed form
-  (``cumsum(a) + maximum.accumulate(s - cumsum(a))``) reassociates the sums
-  and drifts by ulps, so it is used only as the segmentation *guess* and the
-  result is verified against the recurrence's fixpoint condition.
+:func:`execute_schedule_arrays` is the single-layer entry point: a batch of
+one through :func:`repro.perf.batch.execute_schedule_batch`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..core.conv_spec import ConvSpec, GemmShape
-from ..core.layouts import Layout
-from ..core.tiling import MultiTileGroup, plan_multi_tile, tpu_multi_tile_policy
-from ..trace import tracer as trace
-from ..systolic.config import TPUConfig
-from ..systolic.dma import FillEngine
-from ..systolic.scheduler import (
-    ScheduleResult,
-    WorkItem,
-    ifmap_rows_per_block,
-    MIN_BLOCK_ROWS,
-    MIN_PIPELINE_BLOCKS,
-    tile_occupancy_cycles,
-)
+from ..systolic.scheduler import ScheduleResult, WorkItem
 
 __all__ = [
     "ScheduleArrays",
-    "channel_first_schedule_arrays",
-    "conv_schedule_arrays_from_groups",
-    "gemm_schedule_arrays",
     "execute_schedule_arrays",
-    "execute_multi_array_schedule",
-    "pipeline_free_times",
     "pipeline_free_times_segmented",
     "schedule_construction_count",
 ]
@@ -126,76 +103,36 @@ class ScheduleArrays:
 
 _MAX_SEGMENT_REFINES = 6
 
-
-def pipeline_free_times(start_floor: np.ndarray, busy: np.ndarray) -> np.ndarray:
-    """Solve ``w_i = max(w_{i-1}, s_i) + a_i`` (``w_{-1} = 0``) bit-exactly.
-
-    ``start_floor`` (``s``) is the earliest moment item ``i`` may start (its
-    fill landing, or its producing GEMM finishing); ``busy`` (``a``) is the
-    resource time it then holds.  The result is identical — in every float
-    bit — to the sequential fold, because within each "restart segment"
-    (a maximal run where the resource never idles) the value is a plain
-    left-associated running sum, evaluated here with ``np.cumsum``.
-
-    The segmentation (the set of ``i`` where ``s_i >= w_{i-1}``, i.e. the
-    resource sat idle and the term restarts from ``s_i``) is guessed from the
-    reassociated closed form and then verified as a fixpoint of the exact
-    evaluation; on the rare non-converging input the scalar fold runs.
-    """
-    s = np.asarray(start_floor, dtype=np.float64)
-    a = np.asarray(busy, dtype=np.float64)
-    n = s.size
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    if n == 1:
-        return np.array([max(0.0, float(s[0])) + float(a[0])])
-
-    # Reassociated closed form — correct up to rounding, used only as the
-    # initial segmentation guess.
-    acc = np.cumsum(a)
-    acc_prev = np.empty_like(acc)
-    acc_prev[0] = 0.0
-    acc_prev[1:] = acc[:-1]
-    w = acc + np.maximum.accumulate(np.maximum(s - acc_prev, -acc_prev))
-
-    restart = np.empty(n, dtype=bool)
-    for _ in range(_MAX_SEGMENT_REFINES):
-        restart[0] = True
-        np.greater_equal(s[1:], w[:-1], out=restart[1:])
-        w_new = _evaluate_segments(s, a, restart)
-        stable = bool(np.all((s[1:] >= w_new[:-1]) == restart[1:]))
-        w = w_new
-        if stable:
-            return w
-
-    # Fallback: the plain fold (never observed to trigger; kept for safety).
-    out = np.empty(n, dtype=np.float64)
-    prev = 0.0
-    s_list = s.tolist()
-    a_list = a.tolist()
-    for i in range(n):
-        prev = max(prev, s_list[i]) + a_list[i]
-        out[i] = prev
-    return out
+#: Up to this many items the plain fold is cheaper than the NumPy passes
+#: (~0.25 µs per item against ~25 µs of fixed per-call overhead), so a
+#: single layer's chains — a few dozen items — never pay for segmentation.
+_FOLD_MAX_ITEMS = 64
 
 
 def pipeline_free_times_segmented(
     start_floor: np.ndarray, busy: np.ndarray, seg_starts: np.ndarray
 ) -> np.ndarray:
-    """Independent :func:`pipeline_free_times` over concatenated jobs.
+    """Solve ``w_i = max(w_{i-1}, s_i) + a_i`` bit-exactly over concatenated chains.
 
-    ``seg_starts`` marks where each job's chain begins in the flat arrays;
-    the recurrence state resets there (``w_{-1} = 0`` per job), so slicing
-    the result at a job's bounds is bit-identical to running
-    :func:`pipeline_free_times` on that job alone.  The exact evaluation is
-    shared across the whole flat array: job boundaries are simply *forced*
-    restarts in the segmentation, and :func:`_evaluate_segments` already
-    evaluates every restart segment with its own left-associated cumsum.
+    ``start_floor`` (``s``) is the earliest moment item ``i`` may start (its
+    fill landing, or its producing GEMM finishing); ``busy`` (``a``) is the
+    resource time it then holds.  ``seg_starts`` marks where each chain
+    begins in the flat arrays; the recurrence state resets there
+    (``w_{-1} = 0`` per chain), so slicing the result at a chain's bounds is
+    bit-identical to the sequential fold over that chain alone.  Within each
+    "restart segment" (a maximal run where the resource never idles) the
+    value is a plain left-associated running sum, evaluated with
+    ``np.cumsum``; chain boundaries are simply *forced* restarts in the
+    segmentation.
 
-    Like the per-job solver, this assumes ``start_floor >= 0`` at each job's
-    first item (true for every schedule: fills and compute-free floors are
-    nonnegative), so a forced restart yields ``s + a`` exactly as the
-    reference fold's ``max(0, s) + a`` would.
+    The segmentation (the set of ``i`` where ``s_i >= w_{i-1}``, i.e. the
+    resource sat idle and the term restarts from ``s_i``) is guessed from
+    the reassociated closed form and then verified as a fixpoint of the
+    exact evaluation.  Short inputs, and the rare non-converging one, run
+    the scalar fold instead, which is exact by construction.  This assumes
+    ``start_floor >= 0`` at each chain's first item (true for every
+    schedule: fills and compute-free floors are nonnegative), so a forced
+    restart yields ``s + a`` exactly as the fold's ``max(0, s) + a``.
     """
     s = np.asarray(start_floor, dtype=np.float64)
     a = np.asarray(busy, dtype=np.float64)
@@ -206,12 +143,14 @@ def pipeline_free_times_segmented(
     forced = np.zeros(n, dtype=bool)
     forced[seg_starts] = True
     forced[0] = True
+    if n <= _FOLD_MAX_ITEMS:
+        return _fold(s, a, forced)
 
     # Per-job reassociated closed-form guess (rounding-tolerant: it only
     # seeds the segmentation, which the fixpoint check below verifies).
     w = np.empty(n, dtype=np.float64)
-    bounds = np.flatnonzero(forced)
-    for st, en in zip(bounds.tolist(), np.append(bounds[1:], n).tolist()):
+    bounds = np.flatnonzero(forced).tolist()
+    for st, en in zip(bounds, bounds[1:] + [n]):
         ss = s[st:en]
         acc = np.cumsum(a[st:en])
         acc_prev = np.empty_like(acc)
@@ -234,28 +173,30 @@ def pipeline_free_times_segmented(
         if stable:
             return w
 
-    # Fallback: the plain fold with per-job resets (safety net).
-    out = np.empty(n, dtype=np.float64)
+    return _fold(s, a, forced)  # safety net: never observed to trigger
+
+
+def _fold(s: np.ndarray, a: np.ndarray, forced: np.ndarray) -> np.ndarray:
+    """The sequential fold, state reset at every forced position."""
+    out = []
     prev = 0.0
-    s_list = s.tolist()
-    a_list = a.tolist()
-    forced_list = forced.tolist()
-    for i in range(n):
-        if forced_list[i]:
+    for start, busy, reset in zip(s.tolist(), a.tolist(), forced.tolist()):
+        if reset:
             prev = 0.0
-        prev = max(prev, s_list[i]) + a_list[i]
-        out[i] = prev
-    return out
+        prev = max(prev, start) + busy
+        out.append(prev)
+    return np.array(out, dtype=np.float64)
 
 
 def _evaluate_segments(s: np.ndarray, a: np.ndarray, restart: np.ndarray) -> np.ndarray:
     """Exact left-associated evaluation given a restart segmentation."""
     n = s.size
     starts = np.flatnonzero(restart)
-    ends = np.append(starts[1:], n)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
     out = np.empty(n, dtype=np.float64)
-    lengths = ends - starts
-    single = lengths == 1
+    single = ends - starts == 1
     idx = starts[single]
     if idx.size:
         out[idx] = s[idx] + a[idx]
@@ -267,308 +208,14 @@ def _evaluate_segments(s: np.ndarray, a: np.ndarray, restart: np.ndarray) -> np.
     return out
 
 
-def _dma_busy_cycles(fill: np.ndarray, drain: np.ndarray) -> float:
-    """``sum(fill_i) + sum(drain_i)`` in the reference's interleaved order.
+def execute_schedule_arrays(schedule: ScheduleArrays, arrays: int = 1) -> ScheduleResult:
+    """Execute one schedule on ``arrays`` MXUs: a batch of one through the engine.
 
-    The fold adds fill then (nonzero) drain per item; adding ``0.0`` is an
-    exact identity, so interleaving both arrays reproduces the order.
+    A thin wrapper over :func:`repro.perf.batch.execute_schedule_batch`,
+    bit-identical to the scalar oracle
+    :func:`~repro.systolic.scheduler.execute_schedule`.
     """
-    interleaved = np.empty(2 * fill.size, dtype=np.float64)
-    interleaved[0::2] = fill
-    interleaved[1::2] = drain
-    return float(np.cumsum(interleaved)[-1])
+    # Imported at call time: repro.perf.batch imports this module.
+    from . import batch
 
-
-def execute_schedule_arrays(schedule: ScheduleArrays) -> ScheduleResult:
-    """Vectorized twin of :func:`repro.systolic.scheduler.execute_schedule`.
-
-    Produces bit-identical :class:`ScheduleResult` fields (see the module
-    docstring for why that holds).
-    """
-    n = len(schedule)
-    if n == 0:
-        return ScheduleResult(0.0, 0.0, 0.0, 0.0, 0, 0)
-    if trace.enabled():
-        trace.counter("schedule.vectorized_executions", 1, cat="schedule")
-        trace.counter("schedule.vectorized_items", n, cat="schedule")
-    fill = schedule.fill_cycles
-    gemm = schedule.gemm_cycles
-    drain = schedule.drain_cycles
-
-    read_free = np.cumsum(fill)
-    compute_free = pipeline_free_times(read_free, gemm)
-
-    drained = np.flatnonzero(drain)
-    write_free_final = 0.0
-    if drained.size:
-        write_free_final = float(
-            pipeline_free_times(compute_free[drained], drain[drained])[-1]
-        )
-
-    compute_busy = float(np.cumsum(gemm)[-1])
-    total = max(float(compute_free[-1]), float(read_free[-1]), write_free_final)
-    return ScheduleResult(
-        total_cycles=total,
-        compute_cycles=compute_busy,
-        dma_cycles=_dma_busy_cycles(fill, drain),
-        exposed_dma_cycles=max(0.0, total - compute_busy),
-        items=n,
-        macs=int(schedule.macs.sum()),
-    )
-
-
-def execute_multi_array_schedule(schedule: ScheduleArrays, arrays: int) -> tuple:
-    """Vectorized twin of ``dual_mxu._execute_multi_array``.
-
-    Items round-robin over ``arrays`` engines that share one read and one
-    write DMA channel; each engine's occupancy chain is an independent
-    pipeline recurrence over its stride-``arrays`` slice.  Returns
-    ``(total, compute_busy, dma_busy, macs)``.
-    """
-    n = len(schedule)
-    if n == 0:
-        return 0.0, 0.0, 0.0, 0
-    fill = schedule.fill_cycles
-    gemm = schedule.gemm_cycles
-    drain = schedule.drain_cycles
-
-    read_free = np.cumsum(fill)
-    compute_free = np.empty(n, dtype=np.float64)
-    for engine in range(min(arrays, n)):
-        sl = slice(engine, n, arrays)
-        compute_free[sl] = pipeline_free_times(read_free[sl], gemm[sl])
-
-    drained = np.flatnonzero(drain)
-    write_free_final = 0.0
-    if drained.size:
-        write_free_final = float(
-            pipeline_free_times(compute_free[drained], drain[drained])[-1]
-        )
-    compute_busy = float(np.cumsum(gemm)[-1])
-    total = max(float(compute_free.max()), float(read_free[-1]), write_free_final)
-    return total, compute_busy, _dma_busy_cycles(fill, drain), int(schedule.macs.sum())
-
-
-# --------------------------------------------------------------------------
-# Vectorized builders
-# --------------------------------------------------------------------------
-
-
-def _assemble_blocks(templates: dict, rows_sequence: List[int]) -> ScheduleArrays:
-    """Concatenate per-block templates in block order (tiling equal runs)."""
-    parts_fill: List[np.ndarray] = []
-    parts_gemm: List[np.ndarray] = []
-    parts_drain: List[np.ndarray] = []
-    parts_macs: List[np.ndarray] = []
-    i = 0
-    while i < len(rows_sequence):
-        rows = rows_sequence[i]
-        j = i
-        while j < len(rows_sequence) and rows_sequence[j] == rows:
-            j += 1
-        fill, gemm, drain, macs = templates[rows]
-        reps = j - i
-        parts_fill.append(np.tile(fill, reps) if reps > 1 else fill)
-        parts_gemm.append(np.tile(gemm, reps) if reps > 1 else gemm.copy())
-        parts_drain.append(np.tile(drain, reps) if reps > 1 else drain)
-        parts_macs.append(np.tile(macs, reps) if reps > 1 else macs)
-        i = j
-    if len(parts_fill) == 1:
-        return ScheduleArrays(parts_gemm[0], parts_fill[0], parts_drain[0], parts_macs[0])
-    return ScheduleArrays(
-        gemm_cycles=np.concatenate(parts_gemm),
-        fill_cycles=np.concatenate(parts_fill),
-        drain_cycles=np.concatenate(parts_drain),
-        macs=np.concatenate(parts_macs),
-    )
-
-
-def conv_schedule_arrays_from_groups(
-    spec: ConvSpec,
-    config: TPUConfig,
-    engine: FillEngine,
-    groups: Sequence[MultiTileGroup],
-    group_size: int,
-    layout: Layout = Layout.NHWC,
-) -> ScheduleArrays:
-    """Array schedule for a channel-first conv over explicit tile groups.
-
-    Mirrors the item builder's loop nest — blocks x groups x K-chunks x
-    N-chunks — but prices each distinct scalar argument tuple once and tiles
-    the per-block template over the equal-row blocks.
-    """
-    global _CONSTRUCTION_COUNT
-    _CONSTRUCTION_COUNT += 1
-    if trace.enabled():
-        trace.counter("schedule.constructions", 1, cat="schedule")
-    array_rows, array_cols = config.array_rows, config.array_cols
-    m_total = spec.lowered_rows()
-    m_block = ifmap_rows_per_block(spec, config, group_size)
-    n_blocks = -(-m_total // m_block)
-    rows_sequence = [m_block] * (n_blocks - 1) + [m_total - m_block * (n_blocks - 1)]
-
-    weight_fill_memo: dict = {}
-    occupancy_memo: dict = {}
-    drain_memo: dict = {}
-    ifmap_fill_memo: dict = {}
-
-    def template(rows: int):
-        fills: List[float] = []
-        gemms: List[float] = []
-        drains: List[float] = []
-        macs: List[int] = []
-        last_group_index = len(groups) - 1
-        for gi, group in enumerate(groups):
-            merged_k = group.merged_k
-            fill_key = (rows, group.group_size)
-            input_fill = ifmap_fill_memo.get(fill_key)
-            if input_fill is None:
-                input_fill = engine.ifmap_tile_fill_cycles(
-                    spec, rows, group.group_size, layout=layout
-                )
-                ifmap_fill_memo[fill_key] = input_fill
-            first_chunk = True
-            for k0 in range(0, merged_k, array_rows):
-                k_t = min(array_rows, merged_k - k0)
-                drains_here = gi == last_group_index and k0 + k_t >= merged_k
-                for n0 in range(0, spec.c_out, array_cols):
-                    n_t = min(array_cols, spec.c_out - n0)
-                    fill = weight_fill_memo.get((k_t, n_t))
-                    if fill is None:
-                        fill = engine.weight_fill_cycles(k_t, n_t)
-                        weight_fill_memo[(k_t, n_t)] = fill
-                    if first_chunk:
-                        fill = fill + input_fill
-                        first_chunk = False
-                    if drains_here:
-                        drain = drain_memo.get((rows, n_t))
-                        if drain is None:
-                            drain = engine.ofmap_drain_cycles(rows, n_t)
-                            drain_memo[(rows, n_t)] = drain
-                    else:
-                        drain = 0.0
-                    occupancy = occupancy_memo.get((rows, k_t, n_t))
-                    if occupancy is None:
-                        occupancy = tile_occupancy_cycles(
-                            rows, k_t, n_t, config, first=False
-                        )
-                        occupancy_memo[(rows, k_t, n_t)] = occupancy
-                    fills.append(fill)
-                    gemms.append(occupancy)
-                    drains.append(drain)
-                    macs.append(rows * k_t * n_t)
-        return (
-            np.array(fills, dtype=np.float64),
-            np.array(gemms, dtype=np.float64),
-            np.array(drains, dtype=np.float64),
-            np.array(macs, dtype=np.int64),
-        )
-
-    templates = {rows: template(rows) for rows in set(rows_sequence)}
-    schedule = _assemble_blocks(templates, rows_sequence)
-    if len(schedule) and groups:
-        # Only the schedule's very first tile exposes the systolic skew.
-        first_k = min(array_rows, groups[0].merged_k)
-        first_n = min(array_cols, spec.c_out)
-        schedule.gemm_cycles[0] = tile_occupancy_cycles(
-            rows_sequence[0], first_k, first_n, config, first=True
-        )
-    return schedule
-
-
-def channel_first_schedule_arrays(
-    spec: ConvSpec,
-    config: TPUConfig,
-    engine: Optional[FillEngine] = None,
-    group_size: Optional[int] = None,
-    layout: Layout = Layout.NHWC,
-) -> ScheduleArrays:
-    """Vectorized twin of :func:`repro.systolic.scheduler.channel_first_schedule`."""
-    engine = engine if engine is not None else FillEngine(config)
-    if group_size is None:
-        group_size = tpu_multi_tile_policy(spec, config.array_rows)
-    groups = plan_multi_tile(spec, group_size, row_aligned=True)
-    return conv_schedule_arrays_from_groups(
-        spec, config, engine, groups, group_size, layout=layout
-    )
-
-
-def gemm_schedule_arrays(
-    shape: GemmShape, config: TPUConfig, engine: Optional[FillEngine] = None
-) -> ScheduleArrays:
-    """Vectorized twin of :func:`repro.systolic.scheduler.gemm_schedule`."""
-    global _CONSTRUCTION_COUNT
-    _CONSTRUCTION_COUNT += 1
-    if trace.enabled():
-        trace.counter("schedule.constructions", 1, cat="schedule")
-    engine = engine if engine is not None else FillEngine(config)
-    array_rows, array_cols = config.array_rows, config.array_cols
-    elem = config.compute_elem_bytes
-    budget = config.unified_sram_bytes // 4
-    k_chunks = [
-        min(array_rows, shape.k - k0) for k0 in range(0, shape.k, array_rows)
-    ]
-    per_row = max(k_chunks) * elem
-    capacity_rows = max(1, budget // per_row)
-    pipeline_rows = max(MIN_BLOCK_ROWS, -(-shape.m // MIN_PIPELINE_BLOCKS))
-    m_block = max(1, min(shape.m, capacity_rows, pipeline_rows))
-    n_blocks = -(-shape.m // m_block)
-    rows_sequence = [m_block] * (n_blocks - 1) + [shape.m - m_block * (n_blocks - 1)]
-
-    weight_fill_memo: dict = {}
-    occupancy_memo: dict = {}
-    drain_memo: dict = {}
-    a_fill_memo: dict = {}
-
-    def template(rows: int):
-        fills: List[float] = []
-        gemms: List[float] = []
-        drains: List[float] = []
-        macs: List[int] = []
-        for k0 in range(0, shape.k, array_rows):
-            k_t = min(array_rows, shape.k - k0)
-            a_fill = a_fill_memo.get((rows, k_t))
-            if a_fill is None:
-                a_fill = engine.gemm_a_fill_cycles(rows, k_t)
-                a_fill_memo[(rows, k_t)] = a_fill
-            drains_here = k0 + k_t >= shape.k
-            first = True
-            for n0 in range(0, shape.n, array_cols):
-                n_t = min(array_cols, shape.n - n0)
-                fill = weight_fill_memo.get((k_t, n_t))
-                if fill is None:
-                    fill = engine.weight_fill_cycles(k_t, n_t)
-                    weight_fill_memo[(k_t, n_t)] = fill
-                if first:
-                    fill = fill + a_fill
-                    first = False
-                if drains_here:
-                    drain = drain_memo.get((rows, n_t))
-                    if drain is None:
-                        drain = engine.ofmap_drain_cycles(rows, n_t)
-                        drain_memo[(rows, n_t)] = drain
-                else:
-                    drain = 0.0
-                occupancy = occupancy_memo.get((rows, k_t, n_t))
-                if occupancy is None:
-                    occupancy = tile_occupancy_cycles(rows, k_t, n_t, config, first=False)
-                    occupancy_memo[(rows, k_t, n_t)] = occupancy
-                fills.append(fill)
-                gemms.append(occupancy)
-                drains.append(drain)
-                macs.append(rows * k_t * n_t)
-        return (
-            np.array(fills, dtype=np.float64),
-            np.array(gemms, dtype=np.float64),
-            np.array(drains, dtype=np.float64),
-            np.array(macs, dtype=np.int64),
-        )
-
-    templates = {rows: template(rows) for rows in set(rows_sequence)}
-    schedule = _assemble_blocks(templates, rows_sequence)
-    if len(schedule):
-        first_n = min(array_cols, shape.n)
-        schedule.gemm_cycles[0] = tile_occupancy_cycles(
-            rows_sequence[0], k_chunks[0], first_n, config, first=True
-        )
-    return schedule
+    return batch.execute_schedule_batch([schedule], arrays)[0]

@@ -19,16 +19,17 @@ This module operationalises that observation:
 from __future__ import annotations
 
 import dataclasses
-from typing import List
 
 from ..audit import auditor as audit
 from ..core.conv_spec import ConvSpec
+from ..core.tiling import tpu_multi_tile_policy
 from ..perf.cache import SIM_CACHE, config_key, spec_key
+from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
 from ..trace import metrics as trace_metrics
 from ..trace import tracer as trace
 from .config import TPUConfig, TPU_V2
-from .scheduler import WorkItem, channel_first_schedule
+from .scheduler import channel_first_schedule
 from .simulator import LayerResult
 
 __all__ = ["port_budget_allows", "simulate_conv_dual_mxu"]
@@ -46,31 +47,6 @@ def port_budget_allows(arrays: int, config: TPUConfig = TPU_V2) -> bool:
     return 2 * arrays / config.sram_word_elems <= 1.0
 
 
-def _execute_multi_array(items: List[WorkItem], arrays: int) -> tuple:
-    """Round-robin the items over ``arrays`` compute engines sharing one
-    read and one write DMA channel.  Returns (total, compute_busy, dma_busy,
-    macs)."""
-    read_free = 0.0
-    write_free = 0.0
-    compute_free = [0.0] * arrays
-    compute_busy = 0.0
-    dma_busy = 0.0
-    macs = 0
-    for i, item in enumerate(items):
-        engine = i % arrays
-        read_free += item.fill_cycles
-        dma_busy += item.fill_cycles
-        start = max(compute_free[engine], read_free)
-        compute_free[engine] = start + item.gemm_cycles
-        compute_busy += item.gemm_cycles
-        if item.drain_cycles:
-            write_free = max(write_free, compute_free[engine]) + item.drain_cycles
-            dma_busy += item.drain_cycles
-        macs += item.macs
-    total = max(max(compute_free), read_free, write_free)
-    return total, compute_busy, dma_busy, macs
-
-
 def simulate_conv_dual_mxu(
     spec: ConvSpec, arrays: int = 2, config: TPUConfig = TPU_V2
 ) -> LayerResult:
@@ -86,20 +62,22 @@ def simulate_conv_dual_mxu(
         )
     name = f"mxu-x{arrays}:{spec.describe()}"
 
+    def schedule():
+        group_size = tpu_multi_tile_policy(spec, config.array_rows)
+        return perf_batch.conv_schedule_batch([(spec, group_size)], config)[0]
+
     def compute() -> LayerResult:
         with trace.span("tpu.dual_mxu.simulate", layer=name, arrays=arrays):
-            schedule = perf_schedules.channel_first_schedule_arrays(spec, config)
-            total, compute_busy, dma_busy, macs = perf_schedules.execute_multi_array_schedule(
-                schedule, arrays
-            )
+            outcome = perf_schedules.execute_schedule_arrays(schedule(), arrays)
+            total = outcome.total_cycles
             return LayerResult(
                 name=name,
                 cycles=total,
                 tflops=2 * spec.macs * config.clock_ghz / total / 1e3,
                 utilization=spec.macs / (arrays * config.peak_macs_per_cycle * total),
-                compute_cycles=compute_busy,
-                dma_cycles=dma_busy,
-                exposed_dma_cycles=max(0.0, total - compute_busy / arrays),
+                compute_cycles=outcome.compute_cycles,
+                dma_cycles=outcome.dma_cycles,
+                exposed_dma_cycles=outcome.exposed_dma_cycles,
                 macs=spec.macs,
             )
 
@@ -112,5 +90,18 @@ def simulate_conv_dual_mxu(
         from ..audit import invariants as audit_invariants
 
         audit_invariants.check_tpu_multi_mxu(spec, config, arrays, result)
+    if audit.full():
+        from ..audit import differential as audit_differential
+
+        audit_differential.verify_layer(
+            key,
+            result,
+            schedule,
+            lambda: channel_first_schedule(spec, config),
+            config=config,
+            layer=spec.name or "conv",
+            spec=spec,
+            arrays=arrays,
+        )
     trace_metrics.record_layer("tpu.dual_mxu", result, key=key, arrays=arrays)
     return result

@@ -27,6 +27,7 @@ import dataclasses
 
 from ..core.conv_spec import ConvSpec
 from ..perf.cache import SIM_CACHE, config_key, spec_key
+from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
 from .config import TPUConfig, TPU_V2
 from .dma import FillEngine
@@ -75,9 +76,8 @@ def simulate_conv_explicit_tpu(
 
     def compute() -> ExplicitTPUResult:
         transform = _transform_cycles(spec, config)
-        outcome = perf_schedules.execute_schedule_arrays(
-            perf_schedules.gemm_schedule_arrays(spec.gemm_shape(), config, FillEngine(config))
-        )
+        [schedule] = perf_batch.gemm_schedule_batch([spec.gemm_shape()], config)
+        outcome = perf_schedules.execute_schedule_arrays(schedule)
         gemm = LayerResult(
             name=name,
             cycles=outcome.total_cycles,

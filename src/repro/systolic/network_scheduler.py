@@ -33,6 +33,7 @@ from typing import List, Sequence
 from ..core.conv_spec import ConvSpec
 from ..core.tiling import tpu_multi_tile_policy
 from ..perf.cache import SIM_CACHE, canonical_spec, config_key, spec_key
+from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
 from .config import TPUConfig, TPU_V2
 from .dma import FillEngine
@@ -119,7 +120,9 @@ def _layer_cycles(
 
     def compute() -> LayerResult:
         layer_engine = _ResidentInputEngine(config, engine.hbm) if input_resident else engine
-        schedule = perf_schedules.channel_first_schedule_arrays(spec, config, layer_engine)
+        [schedule] = perf_batch.conv_schedule_batch(
+            [(spec, policy_group)], config, layer_engine
+        )
         if output_resident:
             schedule = schedule.without_drains()
         outcome = perf_schedules.execute_schedule_arrays(schedule)

@@ -104,42 +104,46 @@ class ScheduleResult:
         return self.macs / (config.peak_macs_per_cycle * self.total_cycles)
 
 
-def execute_schedule(items: List[WorkItem]) -> ScheduleResult:
+def execute_schedule(items: List[WorkItem], arrays: int = 1) -> ScheduleResult:
     """Run items through the DMA/array pipeline with double buffering.
 
     Fills occupy the read channel, drains the write channel — HBM moves both
     directions concurrently, so OFMap writeback never delays the next tile's
     fill (this mirrors the vector memories' read/write interleaving in
-    Sec. IV-A).  Compute item ``i`` starts once its fill has landed and the
-    array is free.
+    Sec. IV-A).  Compute item ``i`` starts once its fill has landed and its
+    array is free.  With ``arrays`` MXUs the items round-robin over them
+    (item ``i`` on array ``i % arrays``), all sharing the two DMA channels.
+
+    This scalar fold is the oracle the schedule engine
+    (:mod:`repro.perf.batch`) is gated against, bit for bit.
     """
     if trace.enabled():
         trace.counter("schedule.reference_executions", 1, cat="schedule")
         trace.counter("schedule.reference_items", len(items), cat="schedule")
     read_free = 0.0
     write_free = 0.0
-    compute_free = 0.0
+    compute_free = [0.0] * arrays
     compute_busy = 0.0
     dma_busy = 0.0
     macs = 0
-    for item in items:
+    for i, item in enumerate(items):
+        engine = i % arrays
         read_free += item.fill_cycles
         dma_busy += item.fill_cycles
-        start = max(compute_free, read_free)
-        compute_free = start + item.gemm_cycles
+        start = max(compute_free[engine], read_free)
+        compute_free[engine] = start + item.gemm_cycles
         compute_busy += item.gemm_cycles
         if item.drain_cycles:
             # The drain cannot start before its data exists.
-            write_free = max(write_free, compute_free) + item.drain_cycles
+            write_free = max(write_free, compute_free[engine]) + item.drain_cycles
             dma_busy += item.drain_cycles
         macs += item.macs
-    total = max(compute_free, read_free, write_free)
-    exposed = total - compute_busy
+    total = max(max(compute_free), read_free, write_free)
     return ScheduleResult(
         total_cycles=total,
         compute_cycles=compute_busy,
         dma_cycles=dma_busy,
-        exposed_dma_cycles=max(0.0, exposed),
+        exposed_dma_cycles=max(0.0, total - compute_busy / arrays),
         items=len(items),
         macs=macs,
     )
@@ -189,8 +193,8 @@ def channel_first_schedule(
 
     ``debug_labels=True`` attaches per-item position labels; the timing path
     never reads them, so they stay off by default.  Timing runs use the
-    vectorized twin (:mod:`repro.perf.schedule_arrays`); this per-item
-    builder is the reference the equivalence tests gate against.
+    schedule engine (:mod:`repro.perf.batch`); this per-item builder is the
+    reference the equivalence tests and ``--audit full`` gate against.
     """
     engine = engine if engine is not None else FillEngine(config)
     if group_size is None:

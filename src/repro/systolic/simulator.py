@@ -12,8 +12,10 @@ Public entry points:
   against the numpy reference.  Used at small scale; it is the end-to-end
   proof that the schedule the timing model prices computes the right thing.
 
-Timing results come from the event-driven two-resource pipeline in
-:mod:`repro.systolic.scheduler`; see DESIGN.md ("Two fidelity levels").
+Timing results come from the two-resource pipeline of
+:mod:`repro.systolic.scheduler`, built and executed by the schedule engine
+(:mod:`repro.perf.batch`; one layer is a batch of one); see DESIGN.md
+("Two fidelity levels").
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ..trace import metrics as trace_metrics
 from ..trace import tracer as trace
 from .config import TPUConfig, TPU_V2
 from .dma import FillEngine
-from .scheduler import ScheduleResult
+from .scheduler import ScheduleResult, channel_first_schedule, gemm_schedule
 from .systolic_array import CycleAccurateArray
 
 __all__ = ["LayerResult", "NetworkResult", "TPUSim"]
@@ -151,10 +153,9 @@ class TPUSim:
 
         def compute() -> LayerResult:
             with trace.span("tpu.conv.simulate", layer=name, group_size=resolved_group):
-                schedule = perf_schedules.channel_first_schedule_arrays(
-                    spec, self.config, self.engine, group_size=resolved_group, layout=layout
+                outcome = perf_schedules.execute_schedule_arrays(
+                    self._conv_schedule(spec, resolved_group, layout)
                 )
-                outcome = perf_schedules.execute_schedule_arrays(schedule)
                 return self._layer_result(name, spec.macs, outcome, resolved_group)
 
         key = ("tpu-conv", config_key(self.config), spec_key(spec), resolved_group, layout.value)
@@ -164,6 +165,16 @@ class TPUSim:
         # Post-cache on purpose: cache hits (and stale/corrupt cache entries)
         # are audited exactly like fresh computations.
         return self._finish_conv_result(spec, result, key, resolved_group, layout)
+
+    def _conv_schedule(self, spec: ConvSpec, group_size: int, layout: Layout):
+        """One conv layer's schedule: a batch of one through the engine."""
+        return perf_batch.conv_schedule_batch(
+            [(spec, group_size)], self.config, self.engine, layout=layout
+        )[0]
+
+    def _gemm_schedule(self, shape: GemmShape):
+        """One GEMM's schedule: a batch of one through the engine."""
+        return perf_batch.gemm_schedule_batch([shape], self.config, self.engine)[0]
 
     def _conv_canonical_key(
         self, spec: ConvSpec, resolved_group: int, layout: Layout
@@ -207,11 +218,45 @@ class TPUSim:
         if audit.full():
             from ..audit import differential as audit_differential
 
-            audit_differential.verify_conv_layer(
-                key, spec, self.config, self.engine, result,
-                group_size=resolved_group, layout=layout,
+            audit_differential.verify_layer(
+                key,
+                result,
+                lambda: self._conv_schedule(spec, resolved_group, layout),
+                lambda: channel_first_schedule(
+                    spec, self.config, self.engine,
+                    group_size=resolved_group, layout=layout,
+                ),
+                config=self.config,
+                layer=spec.name or "conv",
+                spec=spec,
+                group_size=resolved_group,
             )
         trace_metrics.record_layer("tpu.conv", result, key=key)
+        return result
+
+    def _finish_gemm_result(
+        self, shape: GemmShape, name: str, result: LayerResult, key: tuple
+    ) -> LayerResult:
+        """Relabel + audit + trace — the per-GEMM tail both paths share."""
+        if result.name != name:
+            result = dataclasses.replace(result, name=name)
+        if audit.enabled():
+            from ..audit import invariants as audit_invariants
+
+            audit_invariants.check_tpu_gemm(shape, self.config, result)
+        if audit.full():
+            from ..audit import differential as audit_differential
+
+            audit_differential.verify_layer(
+                key,
+                result,
+                lambda: self._gemm_schedule(shape),
+                lambda: gemm_schedule(shape, self.config, self.engine),
+                config=self.config,
+                layer="gemm",
+                shape=(shape.m, shape.n, shape.k),
+            )
+        trace_metrics.record_layer("tpu.gemm", result, key=key)
         return result
 
     def simulate_conv_batch(
@@ -356,24 +401,12 @@ class TPUSim:
                 SIM_CACHE.store(key, result)
                 job_results.append(result)
 
-        out: List[LayerResult] = []
-        for shape, key, cached, job in entries:
-            result = cached if cached is not None else job_results[job]
-            if result.name != name:
-                result = dataclasses.replace(result, name=name)
-            if audit.enabled():
-                from ..audit import invariants as audit_invariants
-
-                audit_invariants.check_tpu_gemm(shape, self.config, result)
-            if audit.full():
-                from ..audit import differential as audit_differential
-
-                audit_differential.verify_gemm_layer(
-                    key, shape, self.config, self.engine, result
-                )
-            trace_metrics.record_layer("tpu.gemm", result, key=key)
-            out.append(result)
-        return out
+        return [
+            self._finish_gemm_result(
+                shape, name, cached if cached is not None else job_results[job], key
+            )
+            for shape, key, cached, job in entries
+        ]
 
     def simulate_gemm(self, shape: GemmShape, name: str = "gemm") -> LayerResult:
         """Timing of a plain GEMM primitive (Fig 13a, Fig 4 reference)."""
@@ -381,26 +414,13 @@ class TPUSim:
         def compute() -> LayerResult:
             with trace.span("tpu.gemm.simulate", gemm=name):
                 outcome = perf_schedules.execute_schedule_arrays(
-                    perf_schedules.gemm_schedule_arrays(shape, self.config, self.engine)
+                    self._gemm_schedule(shape)
                 )
                 return self._layer_result(name, shape.macs, outcome, 1)
 
         key = ("tpu-gemm", config_key(self.config), shape.m, shape.n, shape.k)
         result = SIM_CACHE.get_or_compute(key, compute)
-        if result.name != name:
-            result = dataclasses.replace(result, name=name)
-        if audit.enabled():
-            from ..audit import invariants as audit_invariants
-
-            audit_invariants.check_tpu_gemm(shape, self.config, result)
-        if audit.full():
-            from ..audit import differential as audit_differential
-
-            audit_differential.verify_gemm_layer(
-                key, shape, self.config, self.engine, result
-            )
-        trace_metrics.record_layer("tpu.gemm", result, key=key)
-        return result
+        return self._finish_gemm_result(shape, name, result, key)
 
     def simulate_network(self, name: str, layers: Sequence[ConvSpec]) -> NetworkResult:
         layers = list(layers)

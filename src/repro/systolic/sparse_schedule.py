@@ -21,10 +21,11 @@ from ..core.conv_spec import ConvSpec
 from ..core.sparsity import PositionMask
 from ..core.tiling import MultiTileGroup, tpu_multi_tile_policy
 from ..perf.cache import SIM_CACHE, config_key, spec_key
+from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
 from .config import TPUConfig, TPU_V2
 from .dma import FillEngine
-from .scheduler import WorkItem, execute_schedule, ifmap_rows_per_block, tile_occupancy_cycles
+from .scheduler import WorkItem, ifmap_rows_per_block, tile_occupancy_cycles
 from .simulator import LayerResult
 
 __all__ = ["sparse_channel_first_schedule", "simulate_conv_sparse"]
@@ -54,7 +55,7 @@ def sparse_channel_first_schedule(
     """The channel-first schedule restricted to the mask's positions.
 
     This is the per-item reference path (timing runs go through the
-    vectorized arrays in :func:`simulate_conv_sparse`); ``debug_labels``
+    schedule engine in :func:`simulate_conv_sparse`); ``debug_labels``
     opts into the per-item label strings."""
     if mask.spec != spec:
         raise ValueError("mask was built for a different spec")
@@ -103,13 +104,15 @@ def simulate_conv_sparse(
     name = f"sparse[{mask.density:.2f}]:{spec.describe()}"
 
     def compute() -> LayerResult:
-        engine = FillEngine(config)
         group_size = tpu_multi_tile_policy(spec, config.array_rows)
-        schedule = perf_schedules.conv_schedule_arrays_from_groups(
-            spec, config, engine, _masked_groups(spec, mask, group_size), group_size
+        [schedule] = perf_batch.conv_schedule_batch(
+            [(spec, group_size)],
+            config,
+            groups=[_masked_groups(spec, mask, group_size)],
         )
         outcome = perf_schedules.execute_schedule_arrays(schedule)
-        kept_macs = int(spec.macs * mask.density)
+        # The schedule's own integer MAC sum: exact, unlike a float density.
+        kept_macs = outcome.macs
         cycles = outcome.total_cycles
         return LayerResult(
             name=name,

@@ -1,5 +1,6 @@
 """Work-queue unit tests: tasks, results, failures, heartbeats, stop."""
 
+import itertools
 import json
 
 from repro.dse.queue import Task, WorkQueue, task_shard
@@ -80,6 +81,26 @@ def test_claim_steals_expired_lease_with_generation_bump(tmp_path):
     assert stolen.owner == "survivor" and stolen.generation == 2
     # The fenced former owner can no longer renew.
     assert queue.renew(tid, "dead", ttl_s=30.0) is None
+
+
+def test_claim_skips_a_task_another_queue_completed(tmp_path):
+    """A worker acting on a stale pending list must not re-evaluate a task
+    another worker finished: claim sees the result and lets the lease go."""
+    queue_a = _queue(tmp_path)
+    queue_b = WorkQueue(queue_a.root)
+    tid = _task().task_id
+    assert queue_a.claim(tid, "w0", ttl_s=30.0) is not None
+    queue_a.complete(tid, {"cycles": 1.0})
+    assert queue_a.release(tid, "w0")
+    assert queue_b.claim(tid, "w1", ttl_s=30.0) is None
+    assert queue_b.lease_of(tid) is None
+    assert not queue_b.lease_path(tid).exists()
+    # Another task's result in the same shard does not count.
+    other = next(
+        f"{tid}-{i}" for i in itertools.count()
+        if task_shard(f"{tid}-{i}") == task_shard(tid)
+    )
+    assert queue_b.has_result(tid) and not queue_b.has_result(other)
 
 
 # ----------------------------------------------------------------- failures

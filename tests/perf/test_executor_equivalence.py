@@ -1,11 +1,15 @@
-"""Bit-exactness gate: vectorized schedules == per-item reference.
+"""Bit-exactness gate: the schedule engine == the per-item scalar oracle.
 
 The contract (DESIGN.md, "Performance architecture") is equality to the
 last float bit — the exported results are compared textually at full
 precision, so `pytest.approx` would not be good enough.  Every comparison
-here is `==` / `np.array_equal`.
+here is `==` / `np.array_equal`, and every one pits the engine
+(:mod:`repro.perf.batch`, a single layer being a batch of one) directly
+against the per-item builders and the scalar fold
+:func:`repro.systolic.scheduler.execute_schedule`.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -13,23 +17,28 @@ import pytest
 
 from repro.core.conv_spec import ConvSpec, GemmShape
 from repro.core.layouts import Layout
+from repro.core.sparsity import PositionMask
+from repro.core.tiling import tpu_multi_tile_policy
+from repro.perf import schedule_arrays
+from repro.perf.batch import conv_schedule_batch, gemm_schedule_batch
 from repro.perf.schedule_arrays import (
     ScheduleArrays,
-    channel_first_schedule_arrays,
-    execute_multi_array_schedule,
     execute_schedule_arrays,
-    gemm_schedule_arrays,
-    pipeline_free_times,
+    pipeline_free_times_segmented,
 )
-from repro.systolic.config import TPU_V2, TPUConfig
-from repro.systolic.dual_mxu import _execute_multi_array
+from repro.systolic.config import TPU_V2
+from repro.systolic.dma import FillEngine
+from repro.systolic.network_scheduler import _ResidentInputEngine
 from repro.systolic.scheduler import (
+    WorkItem,
     channel_first_schedule,
     execute_schedule,
     gemm_schedule,
 )
-
-import dataclasses
+from repro.systolic.sparse_schedule import (
+    _masked_groups,
+    sparse_channel_first_schedule,
+)
 
 CONFIGS = [
     TPU_V2,
@@ -80,6 +89,12 @@ def random_gemm_shapes(count: int, seed: int = 99):
     ]
 
 
+def engine_conv_schedule(spec, config, layout=Layout.NHWC, engine=None):
+    """One conv layer through the engine's builder, as a batch of one."""
+    group = tpu_multi_tile_policy(spec, config.array_rows)
+    return conv_schedule_batch([(spec, group)], config, engine, layout=layout)[0]
+
+
 def assert_arrays_equal(vectorized: ScheduleArrays, reference: ScheduleArrays):
     assert np.array_equal(vectorized.gemm_cycles, reference.gemm_cycles)
     assert np.array_equal(vectorized.fill_cycles, reference.fill_cycles)
@@ -101,7 +116,7 @@ def test_conv_schedules_bit_identical(config):
     for spec in random_conv_specs(25):
         for layout in (Layout.NHWC, Layout.NCHW):
             items = channel_first_schedule(spec, config, layout=layout)
-            schedule = channel_first_schedule_arrays(spec, config, layout=layout)
+            schedule = engine_conv_schedule(spec, config, layout=layout)
             assert_arrays_equal(schedule, ScheduleArrays.from_work_items(items))
             assert_results_equal(
                 execute_schedule_arrays(schedule), execute_schedule(items)
@@ -112,29 +127,50 @@ def test_conv_schedules_bit_identical(config):
 def test_gemm_schedules_bit_identical(config):
     for shape in random_gemm_shapes(25):
         items = gemm_schedule(shape, config)
-        schedule = gemm_schedule_arrays(shape, config)
+        [schedule] = gemm_schedule_batch([shape], config)
         assert_arrays_equal(schedule, ScheduleArrays.from_work_items(items))
         assert_results_equal(execute_schedule_arrays(schedule), execute_schedule(items))
 
 
-@pytest.mark.parametrize("arrays", [2, 4])
+@pytest.mark.parametrize("arrays", [1, 2, 4])
 def test_multi_array_executor_bit_identical(arrays):
     for spec in random_conv_specs(8, seed=7):
         items = channel_first_schedule(spec, TPU_V2)
-        schedule = channel_first_schedule_arrays(spec, TPU_V2)
-        assert execute_multi_array_schedule(schedule, arrays) == _execute_multi_array(
-            items, arrays
+        schedule = engine_conv_schedule(spec, TPU_V2)
+        assert_results_equal(
+            execute_schedule_arrays(schedule, arrays), execute_schedule(items, arrays)
         )
 
 
-def test_pipeline_free_times_matches_fold():
+def test_scalar_fold_round_robins_over_arrays():
+    """The oracle's multi-array semantics, worked by hand: items alternate
+    arrays, share the read channel, and the exposure identity divides the
+    compute by the array count."""
+    items = [
+        WorkItem("a", gemm_cycles=10.0, fill_cycles=2.0, drain_cycles=0.0, macs=1),
+        WorkItem("b", gemm_cycles=10.0, fill_cycles=2.0, drain_cycles=0.0, macs=1),
+        WorkItem("c", gemm_cycles=10.0, fill_cycles=2.0, drain_cycles=3.0, macs=1),
+    ]
+    # Array 0 runs a (2..12) then c (12..22); array 1 runs b (4..14).
+    one, two = execute_schedule(items, 1), execute_schedule(items, 2)
+    assert one.total_cycles == 2.0 + 30.0 + 3.0
+    assert two.total_cycles == 22.0 + 3.0
+    assert two.compute_cycles == 30.0
+    assert two.exposed_dma_cycles == 25.0 - 30.0 / 2
+
+
+def test_pipeline_free_times_matches_fold(monkeypatch):
+    """One chain through the segmented solver equals the sequential fold,
+    both on the NumPy path (forced for every length) and with short chains
+    left to the fold."""
     rng = np.random.default_rng(5)
-    for _ in range(30):
+    for trial in range(60):
+        monkeypatch.setattr(schedule_arrays, "_FOLD_MAX_ITEMS", 0 if trial % 2 else 64)
         n = int(rng.integers(1, 400))
         # Mix of idle gaps (restarts) and back-to-back items.
         s = np.cumsum(rng.exponential(10.0, size=n)) * rng.choice([0.5, 1.0, 2.0])
         a = rng.exponential(15.0, size=n)
-        out = pipeline_free_times(s, a)
+        out = pipeline_free_times_segmented(s, a, np.array([0]))
         prev = 0.0
         for i in range(n):
             prev = max(prev, float(s[i])) + float(a[i])
@@ -145,8 +181,44 @@ def test_without_drains_matches_zeroed_reference():
     spec = random_conv_specs(1, seed=3)[0]
     items = channel_first_schedule(spec, TPU_V2)
     zeroed = [dataclasses.replace(i, drain_cycles=0.0) for i in items]
-    schedule = channel_first_schedule_arrays(spec, TPU_V2).without_drains()
+    schedule = engine_conv_schedule(spec, TPU_V2).without_drains()
     assert_results_equal(execute_schedule_arrays(schedule), execute_schedule(zeroed))
+
+
+def test_resident_input_engine_bit_identical():
+    """The residency scheduler's engine (free IFMap fills) reaches the
+    builder through the pricer's fill calls, with and without drains."""
+    for spec in random_conv_specs(6, seed=21):
+        engine = _ResidentInputEngine(TPU_V2, FillEngine(TPU_V2).hbm)
+        items = channel_first_schedule(spec, TPU_V2, engine)
+        schedule = engine_conv_schedule(spec, TPU_V2, engine=engine)
+        assert_arrays_equal(schedule, ScheduleArrays.from_work_items(items))
+        assert_results_equal(execute_schedule_arrays(schedule), execute_schedule(items))
+        zeroed = [dataclasses.replace(i, drain_cycles=0.0) for i in items]
+        assert_results_equal(
+            execute_schedule_arrays(schedule.without_drains()), execute_schedule(zeroed)
+        )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=["v2", "no-dbuf", "64x64"])
+def test_sparse_groups_bit_identical(config):
+    """Masked tile groups (the sparse path) build what the per-item sparse
+    builder emits, alone and batched beside default-grouped jobs."""
+    rng = random.Random(17)
+    specs = [s for s in random_conv_specs(30, seed=9) if s.positions > 1][:8]
+    for spec in specs:
+        keep = sorted(rng.sample(range(spec.positions), rng.randrange(1, spec.positions)))
+        mask = PositionMask(spec, tuple(keep))
+        group = tpu_multi_tile_policy(spec, config.array_rows)
+        items = sparse_channel_first_schedule(spec, mask, config)
+        masked = _masked_groups(spec, mask, group)
+        schedules = conv_schedule_batch(
+            [(spec, group), (spec, group)], config, groups=[masked, None]
+        )
+        assert_arrays_equal(schedules[0], ScheduleArrays.from_work_items(items))
+        assert_results_equal(execute_schedule_arrays(schedules[0]), execute_schedule(items))
+        dense = channel_first_schedule(spec, config, group_size=group)
+        assert_arrays_equal(schedules[1], ScheduleArrays.from_work_items(dense))
 
 
 # ---------------------------------------------------------------------------

@@ -61,3 +61,17 @@ def test_mask_spec_mismatch_rejected(layer):
     mask = _mask(other, 3)
     with pytest.raises(ValueError):
         sparse_channel_first_schedule(layer, mask, TPU_V2)
+
+
+def test_kept_macs_are_the_schedules_exact_sum():
+    """A float density rounds some kept-MAC counts down by one (GoogleNet
+    conv1: 7x7 positions, 27 kept); the result reports the schedule's own
+    integer sum, which is exactly ``macs * kept // positions``."""
+    from repro.workloads.networks import googlenet
+
+    conv1 = googlenet(batch=8)[0]
+    mask = PositionMask(conv1, tuple(range(27)))
+    assert int(conv1.macs * mask.density) == 520_224_767  # the float's answer
+    result = simulate_conv_sparse(conv1, mask)
+    assert result.macs == conv1.macs * 27 // 49 == 520_224_768
+    assert result.macs == sum(i.macs for i in sparse_channel_first_schedule(conv1, mask))
