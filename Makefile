@@ -51,7 +51,7 @@ fault-smoke:
 	python tools/fault_smoke.py
 
 audit-smoke:
-	python -m repro run fig13 design_space_plus --audit full
+	python -m repro run fig13 design_space_plus sparsity batch_sweep extensions ablations --audit full
 
 fuzz-smoke:
 	python -m repro fuzz --specs 200 --seed 0 --no-corpus
@@ -76,7 +76,7 @@ ci:
 	python -m pytest -q -m goldens tests/
 	python tools/check_regression.py
 	python tools/fault_smoke.py
-	python -m repro run fig13 design_space_plus --audit full
+	$(MAKE) audit-smoke
 	python -m repro fuzz --specs 200 --seed 0 --no-corpus
 	python -m pytest -q tests/store/
 	python tools/serve_smoke.py

@@ -13,12 +13,14 @@ byte-identical — the instrumented models pay one plain-bool check):
 - :mod:`repro.audit.invariants` — the conservation-law catalog
   (MAC conservation, DRAM read/write bounds, cycle-accounting identities,
   utilization ranges, roofline lower bounds, channel-first vs im2col FLOP
-  equivalence) evaluated in-line by the systolic simulator, scheduler,
-  DMA engine, dual-MXU model, memory models and GPU timing models;
+  equivalence) evaluated in-line by the memory models, the GPU timing
+  models and, through one shared pricing tail, every TPU pricing path
+  (conv, GEMM, dual-MXU, sparse, explicit im2col, residency, channel-last);
 - :mod:`repro.audit.differential` — ``full``-level cross-model
   consistency: the per-item reference scheduler, the schedule engine and
-  the memoized perf cache must agree bit-for-bit per layer (verified once
-  per perf-cache key, so repeated layers stay cheap);
+  the memoized perf cache must agree bit-for-bit per layer on every
+  memoized TPU path (verified once per perf-cache key, so repeated layers
+  stay cheap);
 - :mod:`repro.audit.fuzz` — the ``repro fuzz`` harness: seeded
   hostile-corner ConvSpec generation, full-audit execution, greedy
   deterministic shrinking of failures, and the crash-safe
@@ -62,7 +64,9 @@ from .invariants import (
     check_sram_latency,
     check_tpu_conv,
     check_tpu_gemm,
+    check_tpu_layer,
     check_tpu_multi_mxu,
+    check_tpu_sparse,
     fingerprint_context,
     unique_ifmap_elements,
 )
@@ -81,9 +85,11 @@ __all__ = [
     "REL_TOL",
     "fingerprint_context",
     "unique_ifmap_elements",
+    "check_tpu_layer",
     "check_tpu_conv",
     "check_tpu_gemm",
     "check_tpu_multi_mxu",
+    "check_tpu_sparse",
     "check_hbm_transfer",
     "check_sram_latency",
     "check_gpu_kernel",

@@ -7,8 +7,13 @@ per-item scheduler — its builders and its scalar fold
 :func:`~repro.systolic.scheduler.execute_schedule` — is the oracle.  The
 bit-exactness contract between them is what the golden snapshots and the
 perf layer's equivalence tests assert *offline*; at ``--audit full`` it is
-enforced *at run time*, per layer, by :func:`verify_layer` (channel-first
-conv, GEMM and multi-MXU conv alike, with the MXU count as a parameter):
+enforced *at run time*, per layer, by :func:`verify_layer` on every
+memoized path — channel-first conv, GEMM, multi-MXU conv (the MXU count is
+a parameter), position-sparse conv, the GEMM half of explicit im2col and
+residency-scheduled layers (the reference builder run with the
+resident-input fill engine, drains zeroed for a resident output).  The
+channel-last counterfactual is unmemoized and already executes the
+reference fold, so it has nothing to differ from:
 
 - ``diff.reference-vs-vectorized`` — rebuild the schedule with the
   per-item reference builder, execute it with the reference fold, and

@@ -143,16 +143,22 @@ def _sample_valid_spec(rng: random.Random, max_tries: int = 64):
 def run_spec(
     spec: ConvSpec, tpu_config: str = "tpu_v2", gpu: bool = True
 ) -> Optional[Dict[str, Any]]:
-    """Run one spec through the models under full audit.
+    """Run one spec through the models under full audit: the TPU conv,
+    GEMM, dual-MXU, explicit-im2col, channel-last and position-sparse
+    (every other position kept) paths, then the GPU channel-first kernel.
 
     Returns ``None`` on success, or a failure record: the AuditFault's
     structured payload, or — for an unclassified exception from inside a
     model, itself a finding — the exception type and message.
     """
+    from ..core.sparsity import PositionMask
     from ..gpu.channel_first import channel_first_conv_time
     from ..gpu.config import V100
+    from ..systolic.channel_last_schedule import simulate_conv_channel_last
     from ..systolic.dual_mxu import port_budget_allows, simulate_conv_dual_mxu
+    from ..systolic.explicit_schedule import simulate_conv_explicit_tpu
     from ..systolic.simulator import TPUSim
+    from ..systolic.sparse_schedule import simulate_conv_sparse
 
     config = _tpu_configs()[tpu_config]
     _auditor.configure("full")
@@ -162,6 +168,10 @@ def run_spec(
         sim.simulate_gemm(spec.gemm_shape(), name="fuzz-gemm")
         if port_budget_allows(2, config):
             simulate_conv_dual_mxu(spec, arrays=2, config=config)
+        simulate_conv_explicit_tpu(spec, config)
+        simulate_conv_channel_last(spec, config)
+        every_other = tuple(range(0, spec.positions, 2))
+        simulate_conv_sparse(spec, PositionMask(spec, every_other), config)
         if gpu:
             channel_first_conv_time(spec, V100)
     except AuditFault as fault:

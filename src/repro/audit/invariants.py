@@ -16,8 +16,16 @@ invariant id                            identity / bound
                                         reads ≤ im2col-expanded (lowered) bound
 ``tpu.flops.equivalence``               channel-first merged-GEMM MACs ==
                                         explicit-im2col GEMM MACs == direct conv
-``tpu.gemm.*``                          the same four for raw GEMM layers
+``tpu.gemm.*``                          the same four for raw GEMM layers and
+                                        the GEMM half of explicit im2col
 ``tpu.dual.*``                          the same with the dual-MXU capacity model
+``tpu.sparse.*``                        the same for position-sparse convs:
+                                        MACs·positions == spec MACs·kept;
+                                        compute roof only
+``tpu.resident.*``                      the same for residency-scheduled layers;
+                                        compute roof only (elided fills/drains)
+``tpu.channel_last.*``                  the same for the channel-last
+                                        counterfactual; compute roof only
 ``hbm.bandwidth.law``                   transfer cycles ≥ bytes / peak bytes-per-cycle
 ``sram.latency.sane``                   access latency finite and positive
 ``gpu.kernel.accounting``               kernel seconds ≥ max(compute, memory) parts
@@ -25,6 +33,11 @@ invariant id                            identity / bound
 ``gpu.flops.equivalence``               implicit-im2col kernel MACs == direct conv
 ``gpu.reuse.range``                     halo-reuse fraction ∈ [0, 1]
 ======================================  =======================================
+
+The four shared checks (MAC conservation, cycle accounting, utilization
+range, roofline) live in one core, :func:`check_tpu_layer`; each TPU
+pricing path runs it under its own prefix from the simulator's shared
+pricing tail (:func:`repro.systolic.simulator.finish`).
 
 Inequalities tolerate a relative ``1e-9`` (float sums associated
 differently by the reference and vectorized executors); identities are
@@ -47,9 +60,11 @@ __all__ = [
     "REL_TOL",
     "fingerprint_context",
     "unique_ifmap_elements",
+    "check_tpu_layer",
     "check_tpu_conv",
     "check_tpu_gemm",
     "check_tpu_multi_mxu",
+    "check_tpu_sparse",
     "check_hbm_transfer",
     "check_sram_latency",
     "check_gpu_kernel",
@@ -104,22 +119,48 @@ def unique_ifmap_elements(spec: ConvSpec) -> int:
     return spec.n * spec.c_in * rows * cols
 
 
-def _check_cycle_accounting(
+def check_tpu_layer(
     prefix: str,
-    total: float,
-    compute: float,
-    dma: float,
-    exposed: float,
+    config,
+    result,
+    *,
+    macs: int,
     context: Dict[str, Any],
+    read_bytes: int = 0,
+    write_bytes: int = 0,
     arrays: int = 1,
 ) -> None:
+    """The four checks every priced TPU layer obeys, under ``prefix``.
+
+    ``{prefix}.macs.conservation`` (published MACs == ``macs``),
+    ``{prefix}.cycles.accounting`` (the exposure identity and its two
+    bounds), ``{prefix}.utilization.range`` and ``{prefix}.latency.roofline``
+    against ``arrays`` MXUs.  The roofline's DRAM roof streams
+    ``read_bytes`` and ``write_bytes``; leaving both at zero keeps only the
+    compute roof, the bound for paths whose elided fills/drains or
+    restructured footprint make the dense DRAM roof inapplicable.
+
+    ``result`` is the *published* :class:`~repro.systolic.simulator.
+    LayerResult`, checked after the memo so that hits (including entries
+    populated by earlier unaudited runs) are audited exactly like fresh
+    computations; a corrupted memo entry fails here.
+    """
     check = _auditor.check
+    check(
+        f"{prefix}.macs.conservation",
+        result.macs == macs,
+        expected=macs,
+        actual=result.macs,
+        message="published MAC total != the layer's work",
+        context=context,
+    )
+    total, compute = result.cycles, result.compute_cycles
     expected_exposed = max(0.0, total - compute / arrays)
     check(
         f"{prefix}.cycles.accounting",
-        exposed == expected_exposed,
+        result.exposed_dma_cycles == expected_exposed,
         expected=expected_exposed,
-        actual=exposed,
+        actual=result.exposed_dma_cycles,
         message="exposure identity broken (exposed != max(0, total - compute/arrays))",
         context=context,
     )
@@ -133,12 +174,36 @@ def _check_cycle_accounting(
     )
     # Fully serialised execution — every fill, multiply and drain
     # back-to-back on one array — is the worst any pipeline can do.
+    serial = compute + result.dma_cycles
     check(
         f"{prefix}.cycles.accounting",
-        total <= (compute + dma) * (1 + REL_TOL),
-        expected=f"<= compute + dma = {compute + dma}",
+        total <= serial * (1 + REL_TOL),
+        expected=f"<= compute + dma = {serial}",
         actual=total,
         message="total exceeds the serial-sum upper bound (idle cycles invented)",
+        context=context,
+    )
+    check(
+        f"{prefix}.utilization.range",
+        0.0 < result.utilization <= 1 + REL_TOL,
+        expected="(0, 1]",
+        actual=result.utilization,
+        message="utilization outside (0, 1]",
+        context=context,
+    )
+    lower = cycle_lower_bound(
+        macs,
+        arrays * config.peak_macs_per_cycle,
+        read_bytes=read_bytes,
+        write_bytes=write_bytes,
+        bytes_per_cycle=config.hbm.bytes_per_cycle,
+    )
+    check(
+        f"{prefix}.latency.roofline",
+        total >= lower * (1 - REL_TOL),
+        expected=f">= {lower}",
+        actual=total,
+        message="cycles beat the roofline lower bound (throughput from thin air)",
         context=context,
     )
 
@@ -151,41 +216,22 @@ def check_tpu_conv(
     group_size: int,
     layout=None,
 ) -> None:
-    """Cheap-level conservation checks for one simulated conv layer.
-
-    ``result`` is the *published* :class:`~repro.systolic.simulator.
-    LayerResult` — checked after the simulation cache so that cache hits
-    (including entries populated by earlier unaudited runs) are audited
-    exactly like fresh computations; a corrupted cache entry fails here.
-    """
+    """Cheap-level checks for one channel-first conv layer (post-cache):
+    the shared four under ``tpu``, plus the DRAM read bounds and FLOP
+    equivalence of its multi-tile plan."""
     check = _auditor.check
     context = fingerprint_context(spec, config, group_size=group_size)
-    check(
-        "tpu.macs.conservation",
-        result.macs == spec.macs,
-        expected=spec.macs,
-        actual=result.macs,
-        message="published MAC total != sum(K*R*S*C*P*Q) over tiles",
-        context=context,
-    )
-    _check_cycle_accounting(
-        "tpu",
-        result.cycles,
-        result.compute_cycles,
-        result.dma_cycles,
-        result.exposed_dma_cycles,
-        context,
-    )
-    check(
-        "tpu.utilization.range",
-        0.0 < result.utilization <= 1 + REL_TOL,
-        expected="(0, 1]",
-        actual=result.utilization,
-        message="utilization outside (0, 1]",
-        context=context,
-    )
     elem = config.compute_elem_bytes
     unique_bytes = unique_ifmap_elements(spec) * elem
+    check_tpu_layer(
+        "tpu",
+        config,
+        result,
+        macs=spec.macs,
+        context=context,
+        read_bytes=unique_bytes + spec.filter_bytes(elem),
+        write_bytes=spec.ofmap_bytes(elem),
+    )
     lowered_bytes = spec.lowered_bytes(elem)
     # Re-derive scheduled reads from the *tiling plan* (independent of the
     # lowered-matrix arithmetic): each group streams M rows of g*C_I.
@@ -215,113 +261,49 @@ def check_tpu_conv(
         message="channel-first merged GEMM work != explicit-im2col GEMM work",
         context=context,
     )
-    lower = cycle_lower_bound(
-        spec.macs,
-        config.peak_macs_per_cycle,
-        read_bytes=unique_bytes + spec.filter_bytes(elem),
-        write_bytes=spec.ofmap_bytes(elem),
-        bytes_per_cycle=config.hbm.bytes_per_cycle,
-    )
-    check(
-        "tpu.latency.roofline",
-        result.cycles >= lower * (1 - REL_TOL),
-        expected=f">= {lower}",
-        actual=result.cycles,
-        message="cycles beat the roofline lower bound (throughput from thin air)",
-        context=context,
-    )
 
 
 def check_tpu_gemm(shape: GemmShape, config, result) -> None:
-    """Cheap-level conservation checks for one raw GEMM layer (post-cache)."""
-    check = _auditor.check
-    context = fingerprint_context(None, config, shape=(shape.m, shape.n, shape.k))
-    check(
-        "tpu.gemm.macs.conservation",
-        result.macs == shape.macs,
-        expected=shape.macs,
-        actual=result.macs,
-        message="published MAC total != m*n*k",
-        context=context,
-    )
-    _check_cycle_accounting(
-        "tpu.gemm",
-        result.cycles,
-        result.compute_cycles,
-        result.dma_cycles,
-        result.exposed_dma_cycles,
-        context,
-    )
-    check(
-        "tpu.gemm.utilization.range",
-        0.0 < result.utilization <= 1 + REL_TOL,
-        expected="(0, 1]",
-        actual=result.utilization,
-        message="utilization outside (0, 1]",
-        context=context,
-    )
+    """Cheap-level checks for one raw GEMM layer (post-cache)."""
     elem = config.compute_elem_bytes
-    lower = cycle_lower_bound(
-        shape.macs,
-        config.peak_macs_per_cycle,
+    check_tpu_layer(
+        "tpu.gemm",
+        config,
+        result,
+        macs=shape.macs,
+        context=fingerprint_context(None, config, shape=(shape.m, shape.n, shape.k)),
         read_bytes=(shape.m * shape.k + shape.k * shape.n) * elem,
         write_bytes=shape.m * shape.n * elem,
-        bytes_per_cycle=config.hbm.bytes_per_cycle,
-    )
-    check(
-        "tpu.gemm.latency.roofline",
-        result.cycles >= lower * (1 - REL_TOL),
-        expected=f">= {lower}",
-        actual=result.cycles,
-        message="GEMM cycles beat the roofline lower bound",
-        context=context,
     )
 
 
 def check_tpu_multi_mxu(spec: ConvSpec, config, arrays: int, result) -> None:
     """Cheap-level checks for the dual/multi-MXU capacity model (post-cache)."""
-    check = _auditor.check
-    context = fingerprint_context(spec, config, arrays=arrays)
-    check(
-        "tpu.dual.macs.conservation",
-        result.macs == spec.macs,
-        expected=spec.macs,
-        actual=result.macs,
-        message="multi-MXU MAC total != sum(K*R*S*C*P*Q)",
-        context=context,
-    )
-    _check_cycle_accounting(
-        "tpu.dual",
-        result.cycles,
-        result.compute_cycles,
-        result.dma_cycles,
-        result.exposed_dma_cycles,
-        context,
-        arrays=arrays,
-    )
-    check(
-        "tpu.dual.utilization.range",
-        0.0 < result.utilization <= 1 + REL_TOL,
-        expected="(0, 1]",
-        actual=result.utilization,
-        message="multi-MXU utilization outside (0, 1]",
-        context=context,
-    )
     elem = config.compute_elem_bytes
-    lower = cycle_lower_bound(
-        spec.macs,
-        arrays * config.peak_macs_per_cycle,
+    check_tpu_layer(
+        "tpu.dual",
+        config,
+        result,
+        macs=spec.macs,
+        context=fingerprint_context(spec, config, arrays=arrays),
         read_bytes=unique_ifmap_elements(spec) * elem + spec.filter_bytes(elem),
         write_bytes=spec.ofmap_bytes(elem),
-        bytes_per_cycle=config.hbm.bytes_per_cycle,
+        arrays=arrays,
     )
-    check(
-        "tpu.dual.latency.roofline",
-        result.cycles >= lower * (1 - REL_TOL),
-        expected=f">= {lower}",
-        actual=result.cycles,
-        message="multi-MXU cycles beat the roofline lower bound",
-        context=context,
+
+
+def check_tpu_sparse(spec: ConvSpec, config, kept: int, result) -> None:
+    """Cheap-level checks for a position-sparse conv keeping ``kept`` of its
+    filter positions (post-cache); compute roof only, as the pruned
+    footprint voids the dense DRAM roof.  ``spec.macs`` is a multiple of
+    ``spec.positions``, so the expected work is the exact identity
+    ``macs * positions == spec.macs * kept``."""
+    check_tpu_layer(
+        "tpu.sparse",
+        config,
+        result,
+        macs=spec.macs // spec.positions * kept,
+        context=fingerprint_context(spec, config, kept=kept),
     )
 
 

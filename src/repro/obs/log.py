@@ -100,7 +100,7 @@ def get_state() -> LogState:
 
 
 def configure(
-    level: str = DEFAULT_LEVEL,
+    level: Optional[str] = DEFAULT_LEVEL,
     log_file: Optional[str] = None,
     quiet: bool = False,
     run_id: Optional[str] = None,
@@ -109,15 +109,18 @@ def configure(
 
     ``level`` gates stderr diagnostics only; the JSONL sink always records
     from ``debug`` up, so one flag redirects full-fidelity telemetry to a
-    file without drowning the terminal.
+    file without drowning the terminal.  ``level=None`` keeps the current
+    threshold — a daemon re-wiring its sink after ``repro`` already applied
+    ``--log-level``.
     """
     global _STATE
+    console_level = _STATE.console_level if level is None else level_value(level)
     shutdown()
     sink = None
     if log_file is not None:
         sink = open(log_file, "a", buffering=1)
     _STATE = LogState(
-        console_level=level_value(level),
+        console_level=console_level,
         quiet=quiet,
         sink=sink,
         sink_path=log_file,

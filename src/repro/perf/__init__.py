@@ -24,6 +24,7 @@ from .cache import (
     canonical_spec,
     clear_cache,
     config_key,
+    conv_keys,
     fingerprint,
     memoized_model,
     set_cache_enabled,
@@ -51,6 +52,7 @@ __all__ = [
     "canonical_spec",
     "clear_cache",
     "config_key",
+    "conv_keys",
     "fingerprint",
     "memoized_model",
     "set_cache_enabled",

@@ -49,6 +49,7 @@ __all__ = [
     "config_key",
     "canonical_spec",
     "canonical_layout",
+    "conv_keys",
     "memoized_model",
     "cache_stats",
     "clear_cache",
@@ -378,8 +379,8 @@ def config_key(config: Any) -> Tuple:
 def canonical_spec(spec):
     """Fold a ConvSpec onto its timing-canonical representative.
 
-    Returns ``(canonical, relabel)`` where ``relabel(result)`` restores the
-    caller-visible name on a served ``LayerResult``.  Each rewrite below is
+    Callers re-label a served ``LayerResult`` themselves (the simulator's
+    shared pricing tail does it for every path).  Each rewrite below is
     applied only under the exact conditions for which the channel-first
     schedule (fills, occupancy, drains, tiling policy) is provably invariant
     — the cached value is shared, so "approximately equal" is not an option:
@@ -422,14 +423,7 @@ def canonical_spec(spec):
         and (canon.stride > 1 or canon.dilation > 1)
     ):
         canon = dataclasses.replace(canon, h_in=canon.w_in, w_in=canon.h_in)
-
-    def relabel(result):
-        name = spec.describe() or "conv"
-        if result.name == name:
-            return result
-        return dataclasses.replace(result, name=name)
-
-    return canon, relabel
+    return canon
 
 
 def canonical_layout(layout):
@@ -445,6 +439,27 @@ def canonical_layout(layout):
     if value in ("NCHW", "CHWN"):
         return "NCHW"
     return value
+
+
+def conv_keys(config, spec, group_size: int, layout) -> Tuple[Tuple, Tuple]:
+    """The channel-first conv memo's ``(exact, canonical)`` key pair.
+
+    The exact key fingerprints the config, the spec minus its name
+    (:func:`spec_key`), the resolved group size and the layout.  The
+    canonical key folds the spec's timing symmetries (:func:`canonical_spec`)
+    and the layout pairs that price identically (:func:`canonical_layout`).
+    ``TPUSim`` memoizes under both, the residency scheduler publishes the
+    canonical key for its no-residency layers, and the serve daemon matches
+    the memo with them (exact: in-flight dedup; canonical: store-only
+    probes and breaker fingerprints), so every one of them builds the pair
+    here.
+    """
+    cfg = config_key(config)
+    return (
+        ("tpu-conv", cfg, spec_key(spec), group_size, layout.value),
+        ("tpu-conv@c", cfg, spec_key(canonical_spec(spec)), group_size,
+         canonical_layout(layout)),
+    )
 
 
 def memoized_model(func: Callable) -> Callable:

@@ -87,13 +87,7 @@ from ..obs import log as obs_log
 from ..obs.flight import beacon as flight_beacon
 from ..obs.flight.recorder import maybe_dump
 from ..obs.prom import render_prometheus
-from ..perf.cache import (
-    SIM_CACHE,
-    canonical_layout,
-    canonical_spec,
-    config_key,
-    spec_key,
-)
+from ..perf.cache import SIM_CACHE, conv_keys
 from ..resilience import faults as fault_injection
 from ..resilience.breaker import BreakerOpen, BreakerPolicy, BreakerRegistry
 from ..resilience.supervisor import ErrorBudget
@@ -223,14 +217,10 @@ def spec_fingerprint(
     """Canonical fingerprint a circuit breaker keys on.
 
     Built from the same symmetry-folded key the memo cache shares work
-    under (:meth:`TPUSim._conv_canonical_key`): renamed / transposed /
+    under (:func:`~repro.perf.cache.conv_keys`): renamed / transposed /
     dilation-folded copies of one hostile spec meet one breaker.
     """
-    canon, _ = canonical_spec(spec)
-    key = (
-        "tpu-conv@c", config_key(config), spec_key(canon),
-        resolved_group, canonical_layout(layout),
-    )
+    _, key = conv_keys(config, spec, resolved_group, layout)
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:16]
 
 
@@ -298,21 +288,15 @@ class Query:
             if group_size is not None
             else tpu_multi_tile_policy(spec, config.array_rows)
         )
-        key = ("tpu-conv", config_key(config), spec_key(spec), resolved, layout.value)
         return cls(
             spec=spec, config=config, group_size=group_size,
-            layout=layout, key=key,
+            layout=layout, key=conv_keys(config, spec, resolved, layout)[0],
             fingerprint=spec_fingerprint(config, spec, resolved, layout),
         )
 
     def canonical_key(self) -> Tuple:
         """The symmetry-folded secondary cache key (store-only probes)."""
-        canon, _ = canonical_spec(self.spec)
-        resolved = self.key[3]
-        return (
-            "tpu-conv@c", self.key[1], spec_key(canon),
-            resolved, canonical_layout(self.layout),
-        )
+        return conv_keys(self.config, self.spec, self.key[3], self.layout)[1]
 
 
 def result_payload(query: Query, result) -> Dict[str, Any]:
@@ -1517,7 +1501,7 @@ def configure_worker_observability(
     status_path = args.status_file
     if status_path and worker_index is not None:
         status_path = f"{status_path}.w{worker_index}"
-    obs_log.configure(log_file=args.log_file, run_id=run_id)
+    obs_log.configure(level=None, log_file=args.log_file, run_id=run_id)
     flight_beacon.configure_beacon(
         role="serve", run_id=run_id, status_path=status_path
     )

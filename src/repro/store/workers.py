@@ -106,7 +106,7 @@ def _worker_main(args, config, run_id, sock, heartbeat_fd, index) -> int:
 
 def supervise(args, config, run_id) -> int:
     """Run the pre-forked fleet until SIGTERM/SIGINT; returns exit code."""
-    obs_log.configure(log_file=args.log_file, run_id=run_id)
+    obs_log.configure(level=None, log_file=args.log_file, run_id=run_id)
     flight_beacon.configure_beacon(
         role="serve-supervisor", run_id=run_id, status_path=args.status_file
     )

@@ -22,14 +22,14 @@ channel-first design:
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
+from ..audit import invariants as audit_invariants
 from ..core.conv_spec import ConvSpec
 from .config import TPUConfig
 from .dma import FillEngine
 from .scheduler import WorkItem, execute_schedule, tile_occupancy_cycles
-from .simulator import LayerResult
+from .simulator import LayerResult, finish, layer_result
 
 __all__ = ["channel_last_tpu_schedule", "simulate_conv_channel_last"]
 
@@ -90,21 +90,25 @@ def channel_last_tpu_schedule(
 
 
 def simulate_conv_channel_last(spec: ConvSpec, config: TPUConfig) -> LayerResult:
-    """Timing of one conv under the counterfactual channel-last schedule."""
+    """Timing of one conv under the counterfactual channel-last schedule.
+
+    Unmemoized, and executed by the scalar fold itself, so there is no
+    engine-vs-oracle differential to run; the result still goes through the
+    shared audit + trace tail."""
+    name = f"channel-last:{spec.describe()}"
     outcome = execute_schedule(channel_last_tpu_schedule(spec, config))
-    cycles = outcome.total_cycles
-    tflops = 2 * spec.macs * config.clock_ghz / cycles / 1e3 if cycles > 0 else 0.0
-    utilization = (
-        spec.macs / (config.peak_macs_per_cycle * cycles) if cycles > 0 else 0.0
-    )
-    return LayerResult(
-        name=f"channel-last:{spec.describe()}",
-        cycles=cycles,
-        tflops=tflops,
-        utilization=utilization,
-        compute_cycles=outcome.compute_cycles,
-        dma_cycles=outcome.dma_cycles,
-        exposed_dma_cycles=outcome.exposed_dma_cycles,
-        macs=spec.macs,
-        group_size=1,
+    return finish(
+        "tpu.channel_last",
+        layer_result(name, spec.macs, outcome, config),
+        None,
+        name=name,
+        # The sliding-window fill model prices staged input regions, not the
+        # dense footprint the DRAM roof is built from: compute roof only.
+        check=lambda result: audit_invariants.check_tpu_layer(
+            "tpu.channel_last",
+            config,
+            result,
+            macs=spec.macs,
+            context=audit_invariants.fingerprint_context(spec, config),
+        ),
     )

@@ -18,19 +18,16 @@ This module operationalises that observation:
 
 from __future__ import annotations
 
-import dataclasses
-
-from ..audit import auditor as audit
+from ..audit import differential as audit_differential
+from ..audit import invariants as audit_invariants
 from ..core.conv_spec import ConvSpec
 from ..core.tiling import tpu_multi_tile_policy
-from ..perf.cache import SIM_CACHE, config_key, spec_key
+from ..perf.cache import config_key, spec_key
 from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
-from ..trace import metrics as trace_metrics
-from ..trace import tracer as trace
 from .config import TPUConfig, TPU_V2
 from .scheduler import channel_first_schedule
-from .simulator import LayerResult
+from .simulator import LayerResult, layer_result, price
 
 __all__ = ["port_budget_allows", "simulate_conv_dual_mxu"]
 
@@ -67,33 +64,20 @@ def simulate_conv_dual_mxu(
         return perf_batch.conv_schedule_batch([(spec, group_size)], config)[0]
 
     def compute() -> LayerResult:
-        with trace.span("tpu.dual_mxu.simulate", layer=name, arrays=arrays):
-            outcome = perf_schedules.execute_schedule_arrays(schedule(), arrays)
-            total = outcome.total_cycles
-            return LayerResult(
-                name=name,
-                cycles=total,
-                tflops=2 * spec.macs * config.clock_ghz / total / 1e3,
-                utilization=spec.macs / (arrays * config.peak_macs_per_cycle * total),
-                compute_cycles=outcome.compute_cycles,
-                dma_cycles=outcome.dma_cycles,
-                exposed_dma_cycles=outcome.exposed_dma_cycles,
-                macs=spec.macs,
-            )
+        outcome = perf_schedules.execute_schedule_arrays(schedule(), arrays)
+        return layer_result(name, spec.macs, outcome, config, arrays=arrays)
 
     key = ("tpu-multi-mxu", config_key(config), spec_key(spec), arrays)
-    result = SIM_CACHE.get_or_compute(key, compute)
-    if result.name != name:
-        result = dataclasses.replace(result, name=name)
-    # Post-cache so that cache hits are audited like fresh computations.
-    if audit.enabled():
-        from ..audit import invariants as audit_invariants
-
-        audit_invariants.check_tpu_multi_mxu(spec, config, arrays, result)
-    if audit.full():
-        from ..audit import differential as audit_differential
-
-        audit_differential.verify_layer(
+    return price(
+        "tpu.dual_mxu",
+        key,
+        compute,
+        name=name,
+        arrays=arrays,
+        check=lambda result: audit_invariants.check_tpu_multi_mxu(
+            spec, config, arrays, result
+        ),
+        verify=lambda result: audit_differential.verify_layer(
             key,
             result,
             schedule,
@@ -102,6 +86,5 @@ def simulate_conv_dual_mxu(
             layer=spec.name or "conv",
             spec=spec,
             arrays=arrays,
-        )
-    trace_metrics.record_layer("tpu.dual_mxu", result, key=key, arrays=arrays)
-    return result
+        ),
+    )

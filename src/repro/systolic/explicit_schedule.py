@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..audit import differential as audit_differential
+from ..audit import invariants as audit_invariants
 from ..core.conv_spec import ConvSpec
 from ..perf.cache import SIM_CACHE, config_key, spec_key
 from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
 from .config import TPUConfig, TPU_V2
 from .dma import FillEngine
-from .simulator import LayerResult
+from .scheduler import gemm_schedule
+from .simulator import LayerResult, finish, layer_result
 
 __all__ = ["ExplicitTPUResult", "simulate_conv_explicit_tpu"]
 
@@ -71,26 +74,23 @@ def _transform_cycles(spec: ConvSpec, config: TPUConfig) -> float:
 def simulate_conv_explicit_tpu(
     spec: ConvSpec, config: TPUConfig = TPU_V2
 ) -> ExplicitTPUResult:
-    """Price the explicit im2col conv on the TPU (transform + GEMM)."""
+    """Price the explicit im2col conv on the TPU (transform + GEMM).
+
+    The memo holds the transform + GEMM pair; the GEMM half is published
+    through the simulator's shared tail (:func:`~repro.systolic.simulator.
+    finish`), audited as a raw GEMM and recorded as ``tpu.explicit``.
+    """
     name = f"explicit-gemm:{spec.describe()}"
+    shape = spec.gemm_shape()
+
+    def schedule():
+        return perf_batch.gemm_schedule_batch([shape], config)[0]
 
     def compute() -> ExplicitTPUResult:
-        transform = _transform_cycles(spec, config)
-        [schedule] = perf_batch.gemm_schedule_batch([spec.gemm_shape()], config)
-        outcome = perf_schedules.execute_schedule_arrays(schedule)
-        gemm = LayerResult(
-            name=name,
-            cycles=outcome.total_cycles,
-            tflops=2 * spec.macs * config.clock_ghz / outcome.total_cycles / 1e3,
-            utilization=spec.macs / (config.peak_macs_per_cycle * outcome.total_cycles),
-            compute_cycles=outcome.compute_cycles,
-            dma_cycles=outcome.dma_cycles,
-            exposed_dma_cycles=outcome.exposed_dma_cycles,
-            macs=spec.macs,
-        )
+        outcome = perf_schedules.execute_schedule_arrays(schedule())
         return ExplicitTPUResult(
-            transform_cycles=transform,
-            gemm=gemm,
+            transform_cycles=_transform_cycles(spec, config),
+            gemm=layer_result(name, spec.macs, outcome, config),
             workspace_bytes=spec.lowered_bytes(config.compute_elem_bytes),
         )
 
@@ -109,8 +109,22 @@ def simulate_conv_explicit_tpu(
         spec.ifmap_elements(),
     )
     result = SIM_CACHE.get_or_compute(key, compute, canonical_key=canonical)
-    if result.gemm.name != name:
-        result = dataclasses.replace(
-            result, gemm=dataclasses.replace(result.gemm, name=name)
-        )
-    return result
+    gemm = finish(
+        "tpu.explicit",
+        result.gemm,
+        key,
+        name=name,
+        check=lambda gemm: audit_invariants.check_tpu_gemm(shape, config, gemm),
+        verify=lambda gemm: audit_differential.verify_layer(
+            key,
+            gemm,
+            schedule,
+            lambda: gemm_schedule(shape, config),
+            config=config,
+            layer="explicit-gemm",
+            spec=spec,
+        ),
+    )
+    if gemm is result.gemm:
+        return result
+    return dataclasses.replace(result, gemm=gemm)

@@ -30,14 +30,18 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Sequence
 
+from ..audit import differential as audit_differential
+from ..audit import invariants as audit_invariants
 from ..core.conv_spec import ConvSpec
+from ..core.layouts import Layout
 from ..core.tiling import tpu_multi_tile_policy
-from ..perf.cache import SIM_CACHE, canonical_spec, config_key, spec_key
+from ..perf.cache import config_key, conv_keys, spec_key
 from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
 from .config import TPUConfig, TPU_V2
 from .dma import FillEngine
-from .simulator import LayerResult, NetworkResult, TPUSim
+from .scheduler import channel_first_schedule
+from .simulator import LayerResult, NetworkResult, layer_result, price
 
 __all__ = [
     "ResidencyDecision",
@@ -118,26 +122,26 @@ def _layer_cycles(
     name = spec.describe()
     policy_group = tpu_multi_tile_policy(spec, config.array_rows)
 
-    def compute() -> LayerResult:
-        layer_engine = _ResidentInputEngine(config, engine.hbm) if input_resident else engine
-        [schedule] = perf_batch.conv_schedule_batch(
-            [(spec, policy_group)], config, layer_engine
+    def layer_engine() -> FillEngine:
+        return _ResidentInputEngine(config, engine.hbm) if input_resident else engine
+
+    def schedule():
+        [built] = perf_batch.conv_schedule_batch(
+            [(spec, policy_group)], config, layer_engine()
+        )
+        return built.without_drains() if output_resident else built
+
+    def reference():
+        items = channel_first_schedule(
+            spec, config, layer_engine(), group_size=policy_group
         )
         if output_resident:
-            schedule = schedule.without_drains()
-        outcome = perf_schedules.execute_schedule_arrays(schedule)
-        cycles = outcome.total_cycles
-        return LayerResult(
-            name=name,
-            cycles=cycles,
-            tflops=2 * spec.macs * config.clock_ghz / cycles / 1e3,
-            utilization=spec.macs / (config.peak_macs_per_cycle * cycles),
-            compute_cycles=outcome.compute_cycles,
-            dma_cycles=outcome.dma_cycles,
-            exposed_dma_cycles=outcome.exposed_dma_cycles,
-            macs=spec.macs,
-            group_size=policy_group,
-        )
+            items = [dataclasses.replace(item, drain_cycles=0.0) for item in items]
+        return items
+
+    def compute() -> LayerResult:
+        outcome = perf_schedules.execute_schedule_arrays(schedule())
+        return layer_result(name, spec.macs, outcome, config, policy_group)
 
     key = (
         "tpu-resident",
@@ -152,18 +156,33 @@ def _layer_cycles(
         # TPUSim.simulate_conv under the default group/layout — field for
         # field, association for association — so it publishes the same
         # symmetry-folded key and the two namespaces share one computation.
-        canon, _ = canonical_spec(spec)
-        canonical = (
-            "tpu-conv@c",
-            config_key(config),
-            spec_key(canon),
-            policy_group,
-            "NHWC",
-        )
-    result = SIM_CACHE.get_or_compute(key, compute, canonical_key=canonical)
-    if result.name != name:
-        result = dataclasses.replace(result, name=name)
-    return result
+        canonical = conv_keys(config, spec, policy_group, Layout.NHWC)[1]
+    return price(
+        "tpu.resident",
+        key,
+        compute,
+        name=name,
+        canonical=canonical,
+        # Elided fills/drains void the dense DRAM roof: compute roof only.
+        check=lambda result: audit_invariants.check_tpu_layer(
+            "tpu.resident",
+            config,
+            result,
+            macs=spec.macs,
+            context=audit_invariants.fingerprint_context(spec, config),
+        ),
+        verify=lambda result: audit_differential.verify_layer(
+            key,
+            result,
+            schedule,
+            reference,
+            config=config,
+            layer=spec.name or "conv",
+            spec=spec,
+            input_resident=input_resident,
+            output_resident=output_resident,
+        ),
+    )
 
 
 def residency_traffic_saved_bytes(

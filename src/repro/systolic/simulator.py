@@ -16,36 +16,38 @@ Timing results come from the two-resource pipeline of
 :mod:`repro.systolic.scheduler`, built and executed by the schedule engine
 (:mod:`repro.perf.batch`; one layer is a batch of one); see DESIGN.md
 ("Two fidelity levels").
+
+Every TPU path that produces a :class:`LayerResult` — here and in the
+dual-MXU, sparse, explicit-im2col, residency and channel-last modules —
+assembles it with :func:`layer_result` and publishes it through
+:func:`finish` (name fix-up, audit, trace record); single-layer memoized
+paths reach :func:`finish` through :func:`price`, the conv and GEMM batch
+entry points through one batched memo loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.channel_first import decompose
 from ..core.conv_spec import ConvSpec, GemmShape
 from ..core.layouts import Layout
 from ..core.reference import direct_conv2d
 from ..core.tiling import plan_multi_tile, tpu_multi_tile_policy
-from ..perf.cache import (
-    SIM_CACHE,
-    canonical_layout,
-    canonical_spec,
-    config_key,
-    spec_key,
-)
+from ..perf.cache import SIM_CACHE, config_key, conv_keys
 
 # Module binding (not named imports): repro.perf.schedule_arrays imports the
 # systolic scheduler back, so grabbing names here would break whichever
 # package imports first.  The module object resolves cleanly either way.
 from ..audit import auditor as audit
+from ..audit import differential as audit_differential
+from ..audit import invariants as audit_invariants
 from ..errors import AuditFault
 from ..perf import batch as perf_batch
-from ..perf import schedule_arrays as perf_schedules
 from ..trace import metrics as trace_metrics
 from ..trace import tracer as trace
 from .config import TPUConfig, TPU_V2
@@ -53,7 +55,7 @@ from .dma import FillEngine
 from .scheduler import ScheduleResult, channel_first_schedule, gemm_schedule
 from .systolic_array import CycleAccurateArray
 
-__all__ = ["LayerResult", "NetworkResult", "TPUSim"]
+__all__ = ["LayerResult", "NetworkResult", "TPUSim", "finish", "layer_result", "price"]
 
 
 def _boundary_macs(value, label: str) -> int:
@@ -119,6 +121,108 @@ class NetworkResult:
         return self.total_cycles / (clock_ghz * 1e9)
 
 
+# ---------------------------------------------------------------- pricing
+# Every TPU path that produces a LayerResult runs the same sequence: memo
+# lookup, name fix-up, invariant check (--audit cheap), engine-vs-oracle
+# differential (--audit full), then the --trace layer record.
+
+
+def layer_result(
+    name: str,
+    macs: int,
+    outcome: ScheduleResult,
+    config: TPUConfig,
+    group_size: int = 1,
+    arrays: int = 1,
+) -> LayerResult:
+    """Assemble a result from an executed schedule.
+
+    TFLOPS counts *algorithmic* MACs (``macs``) over the simulated cycles,
+    so padding/duplication inefficiency shows up as lost TFLOPS exactly as
+    it does on real hardware; utilization is against the peak of all
+    ``arrays`` MXUs.  Always on: non-finite cycles and non-integral MACs
+    raise :class:`~repro.errors.AuditFault`.
+    """
+    cycles = outcome.total_cycles
+    if not math.isfinite(cycles) or cycles < 0:
+        raise AuditFault(
+            f"non-finite or negative cycle count for {name}",
+            invariant="tpu.cycles.finite",
+            expected="a finite, non-negative float",
+            actual=cycles,
+        )
+    macs = _boundary_macs(macs, name)
+    tflops = 2 * macs * config.clock_ghz / cycles / 1e3 if cycles > 0 else 0.0
+    utilization = (
+        macs / (arrays * config.peak_macs_per_cycle * cycles) if cycles > 0 else 0.0
+    )
+    return LayerResult(
+        name=name,
+        cycles=cycles,
+        tflops=tflops,
+        utilization=utilization,
+        compute_cycles=outcome.compute_cycles,
+        dma_cycles=outcome.dma_cycles,
+        exposed_dma_cycles=outcome.exposed_dma_cycles,
+        macs=macs,
+        group_size=group_size,
+    )
+
+
+def finish(
+    source: str,
+    result: LayerResult,
+    key: Optional[tuple],
+    *,
+    name: str,
+    check: Callable[[LayerResult], None],
+    verify: Optional[Callable[[LayerResult], None]] = None,
+    arrays: int = 1,
+) -> LayerResult:
+    """The tail every priced layer runs: re-label, audit, record.
+
+    Memo entries are shared across layer names, so the served result first
+    takes the caller's ``name``; then ``check(result)`` runs under
+    ``--audit cheap`` and ``verify(result)`` under ``--audit full``, and
+    the result is recorded for ``--trace`` under ``source``.  It runs
+    after the memo on purpose: hits (and stale or corrupt entries) are
+    audited exactly like fresh computations.
+    """
+    if result.name != name:
+        result = dataclasses.replace(result, name=name)
+    if audit.enabled():
+        check(result)
+        if verify is not None and audit.full():
+            verify(result)
+    trace_metrics.record_layer(source, result, key=key, arrays=arrays)
+    return result
+
+
+def price(
+    source: str,
+    key: tuple,
+    compute: Callable[[], LayerResult],
+    *,
+    name: str,
+    canonical: Optional[tuple] = None,
+    check: Callable[[LayerResult], None],
+    verify: Callable[[LayerResult], None],
+    arrays: int = 1,
+) -> LayerResult:
+    """Price one layer: memo lookup under ``key`` (and the symmetry-folded
+    ``canonical`` key), then :func:`finish`.  ``compute()`` runs only on a
+    miss, inside a ``{source}.simulate`` span."""
+
+    def traced() -> LayerResult:
+        with trace.span(f"{source}.simulate", layer=name):
+            return compute()
+
+    result = SIM_CACHE.get_or_compute(key, traced, canonical)
+    return finish(
+        source, result, key, name=name, check=check, verify=verify, arrays=arrays
+    )
+
+
 class TPUSim:
     """The simulator facade.
 
@@ -142,122 +246,10 @@ class TPUSim:
 
         ``group_size=None`` applies the inferred TPU policy
         ``MIN(array/C_I, W_F)``; pass an explicit value to sweep the
-        parameter (Fig 14a).
+        parameter (Fig 14a).  A batch of one through
+        :meth:`simulate_conv_batch`.
         """
-        resolved_group = (
-            group_size
-            if group_size is not None
-            else tpu_multi_tile_policy(spec, self.config.array_rows)
-        )
-        name = spec.describe() or "conv"
-
-        def compute() -> LayerResult:
-            with trace.span("tpu.conv.simulate", layer=name, group_size=resolved_group):
-                outcome = perf_schedules.execute_schedule_arrays(
-                    self._conv_schedule(spec, resolved_group, layout)
-                )
-                return self._layer_result(name, spec.macs, outcome, resolved_group)
-
-        key = ("tpu-conv", config_key(self.config), spec_key(spec), resolved_group, layout.value)
-        result = SIM_CACHE.get_or_compute(
-            key, compute, canonical_key=self._conv_canonical_key(spec, resolved_group, layout)
-        )
-        # Post-cache on purpose: cache hits (and stale/corrupt cache entries)
-        # are audited exactly like fresh computations.
-        return self._finish_conv_result(spec, result, key, resolved_group, layout)
-
-    def _conv_schedule(self, spec: ConvSpec, group_size: int, layout: Layout):
-        """One conv layer's schedule: a batch of one through the engine."""
-        return perf_batch.conv_schedule_batch(
-            [(spec, group_size)], self.config, self.engine, layout=layout
-        )[0]
-
-    def _gemm_schedule(self, shape: GemmShape):
-        """One GEMM's schedule: a batch of one through the engine."""
-        return perf_batch.gemm_schedule_batch([shape], self.config, self.engine)[0]
-
-    def _conv_canonical_key(
-        self, spec: ConvSpec, resolved_group: int, layout: Layout
-    ) -> tuple:
-        """Symmetry-folded cache key: timing-equivalent specs share it.
-
-        ``canonical_spec`` folds the spec's timing symmetries and
-        ``canonical_layout`` folds the layout pairs that price identically
-        (NHWC/HWCN, NCHW/CHWN).  The ``@c`` namespace also matches the one
-        the residency scheduler publishes for its no-residency layers, so
-        network-level and layer-level simulations share work.
-        """
-        canon, _ = canonical_spec(spec)
-        return (
-            "tpu-conv@c",
-            config_key(self.config),
-            spec_key(canon),
-            resolved_group,
-            canonical_layout(layout),
-        )
-
-    def _finish_conv_result(
-        self,
-        spec: ConvSpec,
-        result: LayerResult,
-        key: tuple,
-        resolved_group: int,
-        layout: Layout,
-    ) -> LayerResult:
-        """Relabel + audit + trace — the per-layer tail both paths share."""
-        name = spec.describe() or "conv"
-        if result.name != name:
-            result = dataclasses.replace(result, name=name)
-        if audit.enabled():
-            from ..audit import invariants as audit_invariants
-
-            audit_invariants.check_tpu_conv(
-                spec, self.config, result,
-                group_size=resolved_group, layout=layout,
-            )
-        if audit.full():
-            from ..audit import differential as audit_differential
-
-            audit_differential.verify_layer(
-                key,
-                result,
-                lambda: self._conv_schedule(spec, resolved_group, layout),
-                lambda: channel_first_schedule(
-                    spec, self.config, self.engine,
-                    group_size=resolved_group, layout=layout,
-                ),
-                config=self.config,
-                layer=spec.name or "conv",
-                spec=spec,
-                group_size=resolved_group,
-            )
-        trace_metrics.record_layer("tpu.conv", result, key=key)
-        return result
-
-    def _finish_gemm_result(
-        self, shape: GemmShape, name: str, result: LayerResult, key: tuple
-    ) -> LayerResult:
-        """Relabel + audit + trace — the per-GEMM tail both paths share."""
-        if result.name != name:
-            result = dataclasses.replace(result, name=name)
-        if audit.enabled():
-            from ..audit import invariants as audit_invariants
-
-            audit_invariants.check_tpu_gemm(shape, self.config, result)
-        if audit.full():
-            from ..audit import differential as audit_differential
-
-            audit_differential.verify_layer(
-                key,
-                result,
-                lambda: self._gemm_schedule(shape),
-                lambda: gemm_schedule(shape, self.config, self.engine),
-                config=self.config,
-                layer="gemm",
-                shape=(shape.m, shape.n, shape.k),
-            )
-        trace_metrics.record_layer("tpu.gemm", result, key=key)
-        return result
+        return self.simulate_conv_batch([spec], group_size, layout)[0]
 
     def simulate_conv_batch(
         self,
@@ -267,206 +259,159 @@ class TPUSim:
     ) -> List[LayerResult]:
         """Timing of many conv layers through the batched schedule engine.
 
-        Per-layer results are bit-identical to :meth:`simulate_conv`, and
-        the cache sees the identical hit/miss stream the per-layer loop
-        would have produced (duplicates inside the batch count as hits);
-        only the construction/pricing work is amortized across the batch
-        (:mod:`repro.perf.batch`).
+        Per-layer results are bit-identical to pricing each layer alone,
+        and the memo sees the hit/miss stream a per-layer loop would have
+        produced; only the construction/pricing work is amortized across
+        the batch (:mod:`repro.perf.batch`).
         """
-        specs = list(specs)
-        if not specs:
-            return []
-        cfg = config_key(self.config)
-        entries = []  # (spec, resolved, key, cached_result_or_None, job_index)
-        jobs: List[tuple] = []
-        job_keys: List[tuple] = []
-        pending: Dict[tuple, int] = {}
-        alias_later: List[tuple] = []
+        config, engine = self.config, self.engine
+
+        def build(jobs):
+            return perf_batch.conv_schedule_batch(jobs, config, engine, layout=layout)
+
+        def check(job, result):
+            spec, group = job
+            audit_invariants.check_tpu_conv(
+                spec, config, result, group_size=group, layout=layout
+            )
+
+        def verify(job, key, result):
+            spec, group = job
+            audit_differential.verify_layer(
+                key,
+                result,
+                lambda: build([job])[0],
+                lambda: channel_first_schedule(
+                    spec, config, engine, group_size=group, layout=layout
+                ),
+                config=config,
+                layer=spec.name or "conv",
+                spec=spec,
+                group_size=group,
+            )
+
+        requests = []
         for spec in specs:
-            resolved = (
+            group = (
                 group_size
                 if group_size is not None
-                else tpu_multi_tile_policy(spec, self.config.array_rows)
+                else tpu_multi_tile_policy(spec, config.array_rows)
             )
-            key = ("tpu-conv", cfg, spec_key(spec), resolved, layout.value)
-            canonical = self._conv_canonical_key(spec, resolved, layout)
-            cached = None
-            job = None
-            if SIM_CACHE.enabled:
-                found, value = SIM_CACHE.probe(key, canonical)
-                if found:
-                    cached = value
-                else:
-                    job = pending.get(key)
-                    if job is not None:
-                        SIM_CACHE.note_pending_hit()
-                    else:
-                        job = pending.get(canonical)
-                        if job is not None:
-                            SIM_CACHE.note_pending_hit(canonical=True)
-                            # The per-layer loop's probe would have aliased
-                            # this exact key; do the same once the job lands.
-                            alias_later.append((key, canonical, job))
-                    if job is None:
-                        job = len(jobs)
-                        pending[key] = job
-                        pending.setdefault(canonical, job)
-                        jobs.append((spec, resolved))
-                        job_keys.append((key, canonical))
-            else:
-                job = len(jobs)
-                jobs.append((spec, resolved))
-                job_keys.append((key, canonical))
-            entries.append((spec, resolved, key, cached, job))
-
-        job_results: List[LayerResult] = []
-        if jobs:
-            with trace.span(
-                "tpu.conv.batch", jobs=len(jobs), layers=len(specs)
-            ):
-                schedules = perf_batch.conv_schedule_batch(
-                    jobs, self.config, self.engine, layout=layout
-                )
-                outcomes = perf_batch.execute_schedule_batch(schedules)
-            for (spec, resolved), (key, canonical), outcome in zip(
-                jobs, job_keys, outcomes
-            ):
-                result = self._layer_result(
-                    spec.describe() or "conv", spec.macs, outcome, resolved
-                )
-                SIM_CACHE.store(key, result, canonical)
-                job_results.append(result)
-            for key, canonical, job in alias_later:
-                SIM_CACHE.store(key, job_results[job], canonical)
-
-        return [
-            self._finish_conv_result(
-                spec,
-                cached if cached is not None else job_results[job],
-                key,
-                resolved,
-                layout,
+            exact, canonical = conv_keys(config, spec, group, layout)
+            requests.append(
+                (exact, canonical, (spec, group), spec.describe() or "conv", spec.macs, group)
             )
-            for spec, resolved, key, cached, job in entries
-        ]
+        return self._price_batch("tpu.conv", requests, build, check, verify)
+
+    def simulate_gemm(self, shape: GemmShape, name: str = "gemm") -> LayerResult:
+        """Timing of a plain GEMM primitive (Fig 13a, Fig 4 reference): a
+        batch of one through :meth:`simulate_gemm_batch`."""
+        return self.simulate_gemm_batch([shape], name)[0]
 
     def simulate_gemm_batch(
         self, shapes: Sequence[GemmShape], name: str = "gemm"
     ) -> List[LayerResult]:
-        """Timing of many GEMM primitives through the batched engine.
+        """Timing of many GEMM primitives through the batched engine, with
+        the same memo accounting as the equivalent per-shape loop."""
+        config, engine = self.config, self.engine
+        cfg = config_key(config)
 
-        Bit-identical per shape to :meth:`simulate_gemm`, with the same
-        cache accounting as the equivalent per-shape loop.
+        def build(jobs):
+            return perf_batch.gemm_schedule_batch(jobs, config, engine)
+
+        def check(shape, result):
+            audit_invariants.check_tpu_gemm(shape, config, result)
+
+        def verify(shape, key, result):
+            audit_differential.verify_layer(
+                key,
+                result,
+                lambda: build([shape])[0],
+                lambda: gemm_schedule(shape, config, engine),
+                config=config,
+                layer="gemm",
+                shape=(shape.m, shape.n, shape.k),
+            )
+
+        requests = [
+            (("tpu-gemm", cfg, shape.m, shape.n, shape.k), None, shape, name, shape.macs, 1)
+            for shape in shapes
+        ]
+        return self._price_batch("tpu.gemm", requests, build, check, verify)
+
+    def _price_batch(self, source: str, requests, build, check, verify) -> List[LayerResult]:
+        """The one batched memo loop behind the conv and GEMM entry points.
+
+        Each request is ``(key, canonical, job, name, macs, group_size)``;
+        ``build(jobs)`` returns the jobs' engine schedules, and
+        ``check(job, result)`` / ``verify(job, key, result)`` are the path's
+        audits, run per entry by :func:`finish`.  Every request is probed
+        first, then all misses are built and executed in one engine pass.
+        A miss whose exact or canonical key an earlier miss of the same
+        batch already holds joins that job and counts as a hit, and stores
+        happen after pricing: the memo sees exactly the hit/miss stream of
+        a per-layer probe-then-store loop.
         """
-        shapes = list(shapes)
-        if not shapes:
-            return []
-        cfg = config_key(self.config)
-        entries = []
-        jobs: List[GemmShape] = []
-        job_keys: List[tuple] = []
-        pending: Dict[tuple, int] = {}
-        for shape in shapes:
-            key = ("tpu-gemm", cfg, shape.m, shape.n, shape.k)
-            cached = None
-            job = None
+        served: List[Optional[LayerResult]] = [None] * len(requests)
+        owner: List[Optional[int]] = [None] * len(requests)  # index into misses
+        misses: List[int] = []  # one request index per distinct job
+        pending: Dict[tuple, int] = {}  # exact/canonical key -> its job
+        aliases = []  # canonical joins: exact keys to alias once priced
+        for index, (key, canonical, *_) in enumerate(requests):
+            slot = None
             if SIM_CACHE.enabled:
-                found, value = SIM_CACHE.probe(key)
+                found, value = SIM_CACHE.probe(key, canonical)
                 if found:
-                    cached = value
-                else:
-                    job = pending.get(key)
-                    if job is not None:
-                        SIM_CACHE.note_pending_hit()
-                    else:
-                        job = len(jobs)
-                        pending[key] = job
-                        jobs.append(shape)
-                        job_keys.append(key)
-            else:
-                job = len(jobs)
-                jobs.append(shape)
-                job_keys.append(key)
-            entries.append((shape, key, cached, job))
+                    served[index] = value
+                    continue
+                slot = pending.get(key)
+                if slot is not None:
+                    SIM_CACHE.note_pending_hit()
+                elif canonical is not None:
+                    slot = pending.get(canonical)
+                    if slot is not None:
+                        SIM_CACHE.note_pending_hit(canonical=True)
+                        aliases.append((key, canonical, slot))
+            if slot is None:
+                slot = len(misses)
+                misses.append(index)
+                pending[key] = slot
+                if canonical is not None:
+                    pending.setdefault(canonical, slot)
+            owner[index] = slot
 
-        job_results: List[LayerResult] = []
-        if jobs:
-            with trace.span("tpu.gemm.batch", jobs=len(jobs), shapes=len(shapes)):
-                schedules = perf_batch.gemm_schedule_batch(
-                    jobs, self.config, self.engine
+        fresh: List[LayerResult] = []
+        if misses:
+            with trace.span(f"{source}.batch", jobs=len(misses), layers=len(requests)):
+                outcomes = perf_batch.execute_schedule_batch(
+                    build([requests[index][2] for index in misses])
                 )
-                outcomes = perf_batch.execute_schedule_batch(schedules)
-            for shape, key, outcome in zip(jobs, job_keys, outcomes):
-                result = self._layer_result(name, shape.macs, outcome, 1)
-                SIM_CACHE.store(key, result)
-                job_results.append(result)
+            for index, outcome in zip(misses, outcomes):
+                key, canonical, _, name, macs, group = requests[index]
+                result = layer_result(name, macs, outcome, self.config, group)
+                SIM_CACHE.store(key, result, canonical)
+                fresh.append(result)
+            for key, canonical, slot in aliases:
+                SIM_CACHE.store(key, fresh[slot], canonical)
 
         return [
-            self._finish_gemm_result(
-                shape, name, cached if cached is not None else job_results[job], key
+            finish(
+                source,
+                served[index] if owner[index] is None else fresh[owner[index]],
+                key,
+                name=name,
+                check=functools.partial(check, job),
+                verify=functools.partial(verify, job, key),
             )
-            for shape, key, cached, job in entries
+            for index, (key, _, job, name, _, _) in enumerate(requests)
         ]
 
-    def simulate_gemm(self, shape: GemmShape, name: str = "gemm") -> LayerResult:
-        """Timing of a plain GEMM primitive (Fig 13a, Fig 4 reference)."""
-
-        def compute() -> LayerResult:
-            with trace.span("tpu.gemm.simulate", gemm=name):
-                outcome = perf_schedules.execute_schedule_arrays(
-                    self._gemm_schedule(shape)
-                )
-                return self._layer_result(name, shape.macs, outcome, 1)
-
-        key = ("tpu-gemm", config_key(self.config), shape.m, shape.n, shape.k)
-        result = SIM_CACHE.get_or_compute(key, compute)
-        return self._finish_gemm_result(shape, name, result, key)
-
     def simulate_network(self, name: str, layers: Sequence[ConvSpec]) -> NetworkResult:
+        """A whole network's conv layers as one batch."""
         layers = list(layers)
         with trace.span("tpu.network.simulate", network=name, layers=len(layers)):
-            if all(type(layer) is ConvSpec for layer in layers):
-                # Fast path: one batched construction + pricing pass for the
-                # whole network (bit-identical per layer, same cache stream).
-                results = self.simulate_conv_batch(layers)
-            else:
-                # Fallback for spec subclasses the batcher must not assume
-                # anything about.
-                results = [self.simulate_conv(layer) for layer in layers]
+            results = self.simulate_conv_batch(layers)
         return NetworkResult(name=name, layers=results)
-
-    def _layer_result(
-        self, name: str, true_macs: int, outcome: ScheduleResult, group_size: int
-    ) -> LayerResult:
-        """Assemble a result; TFLOPS counts *algorithmic* MACs (``true_macs``)
-        over the simulated cycles, so padding/duplication inefficiency shows
-        up as lost TFLOPS exactly as it does on real hardware."""
-        cycles = outcome.total_cycles
-        if not math.isfinite(cycles) or cycles < 0:
-            raise AuditFault(
-                f"non-finite or negative cycle count for {name}",
-                invariant="tpu.cycles.finite",
-                expected="a finite, non-negative float",
-                actual=cycles,
-            )
-        macs = _boundary_macs(true_macs, name)
-        tflops = (
-            2 * macs * self.config.clock_ghz / cycles / 1e3 if cycles > 0 else 0.0
-        )
-        utilization = (
-            macs / (self.config.peak_macs_per_cycle * cycles) if cycles > 0 else 0.0
-        )
-        return LayerResult(
-            name=name,
-            cycles=cycles,
-            tflops=tflops,
-            utilization=utilization,
-            compute_cycles=outcome.compute_cycles,
-            dma_cycles=outcome.dma_cycles,
-            exposed_dma_cycles=outcome.exposed_dma_cycles,
-            macs=macs,
-            group_size=group_size,
-        )
 
     # ------------------------------------------------------------ functional
     def run_functional_conv(

@@ -14,19 +14,20 @@ sparsity experiment sweeps this.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List
 
+from ..audit import differential as audit_differential
+from ..audit import invariants as audit_invariants
 from ..core.conv_spec import ConvSpec
 from ..core.sparsity import PositionMask
 from ..core.tiling import MultiTileGroup, tpu_multi_tile_policy
-from ..perf.cache import SIM_CACHE, config_key, spec_key
+from ..perf.cache import config_key, spec_key
 from ..perf import batch as perf_batch
 from ..perf import schedule_arrays as perf_schedules
 from .config import TPUConfig, TPU_V2
 from .dma import FillEngine
 from .scheduler import WorkItem, ifmap_rows_per_block, tile_occupancy_cycles
-from .simulator import LayerResult
+from .simulator import LayerResult, layer_result, price
 
 __all__ = ["sparse_channel_first_schedule", "simulate_conv_sparse"]
 
@@ -103,30 +104,36 @@ def simulate_conv_sparse(
     """Timing of the position-sparse conv; MACs counted for the kept work."""
     name = f"sparse[{mask.density:.2f}]:{spec.describe()}"
 
-    def compute() -> LayerResult:
+    def schedule():
         group_size = tpu_multi_tile_policy(spec, config.array_rows)
-        [schedule] = perf_batch.conv_schedule_batch(
+        return perf_batch.conv_schedule_batch(
             [(spec, group_size)],
             config,
             groups=[_masked_groups(spec, mask, group_size)],
-        )
-        outcome = perf_schedules.execute_schedule_arrays(schedule)
+        )[0]
+
+    def compute() -> LayerResult:
+        outcome = perf_schedules.execute_schedule_arrays(schedule())
         # The schedule's own integer MAC sum: exact, unlike a float density.
-        kept_macs = outcome.macs
-        cycles = outcome.total_cycles
-        return LayerResult(
-            name=name,
-            cycles=cycles,
-            tflops=2 * kept_macs * config.clock_ghz / cycles / 1e3,
-            utilization=kept_macs / (config.peak_macs_per_cycle * cycles),
-            compute_cycles=outcome.compute_cycles,
-            dma_cycles=outcome.dma_cycles,
-            exposed_dma_cycles=outcome.exposed_dma_cycles,
-            macs=kept_macs,
-        )
+        return layer_result(name, outcome.macs, outcome, config)
 
     key = ("tpu-sparse", config_key(config), spec_key(spec), mask.kept)
-    result = SIM_CACHE.get_or_compute(key, compute)
-    if result.name != name:
-        result = dataclasses.replace(result, name=name)
-    return result
+    return price(
+        "tpu.sparse",
+        key,
+        compute,
+        name=name,
+        check=lambda result: audit_invariants.check_tpu_sparse(
+            spec, config, len(mask.kept), result
+        ),
+        verify=lambda result: audit_differential.verify_layer(
+            key,
+            result,
+            schedule,
+            lambda: sparse_channel_first_schedule(spec, mask, config),
+            config=config,
+            layer=spec.name or "conv",
+            spec=spec,
+            kept=len(mask.kept),
+        ),
+    )

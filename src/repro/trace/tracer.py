@@ -1,7 +1,7 @@
 """Structured-event tracer: spans, instants and counters, off by default.
 
 The simulators, memory models and harness are instrumented with calls like
-``trace.span("tpu.conv.simulate", layer=name)`` and
+``trace.span("tpu.conv.batch", jobs=n, layers=m)`` and
 ``trace.counter("hbm.bytes", payload)``.  Tracing is **disabled by default**
 and the disabled path is engineered to cost nothing measurable:
 

@@ -14,7 +14,8 @@ from repro.errors import AuditFault
 from repro.gpu.config import V100
 from repro.gpu.tensor_core import padded_macs, tc_gemm_compute_seconds
 from repro.systolic.scheduler import ScheduleResult
-from repro.systolic.simulator import TPUSim, _boundary_macs
+from repro.systolic.config import TPU_V2
+from repro.systolic.simulator import _boundary_macs, layer_result
 
 
 def test_boundary_macs_passes_ints_through_exactly():
@@ -41,7 +42,7 @@ def test_layer_result_keeps_huge_mac_totals_exact():
         total_cycles=1e9, compute_cycles=9e8, dma_cycles=3e8,
         exposed_dma_cycles=1e8, items=10, macs=huge,
     )
-    result = TPUSim()._layer_result("near-2^53", huge, outcome, 1)
+    result = layer_result("near-2^53", huge, outcome, TPU_V2)
     assert result.macs == huge
     assert isinstance(result.macs, int)
     assert result.tflops > 0 and result.utilization > 0
@@ -53,7 +54,7 @@ def test_layer_result_rejects_non_finite_cycles():
         exposed_dma_cycles=0.0, items=1, macs=100,
     )
     with pytest.raises(AuditFault) as excinfo:
-        TPUSim()._layer_result("inf-layer", 100, outcome, 1)
+        layer_result("inf-layer", 100, outcome, TPU_V2)
     assert excinfo.value.invariant == "tpu.cycles.finite"
 
 

@@ -9,7 +9,7 @@ outside the harness's own workloads and check:
 - idempotence (a canonical spec is its own canonical form);
 - timing invariance: the reference per-item scheduler prices the spec and
   its canonical form bit-identically in every cost field, across configs;
-- ``relabel`` restores the caller-visible layer name;
+- a memo hit is re-labelled with the caller-visible layer name;
 - layout folding maps exactly the channel-position pairs and nothing else.
 """
 
@@ -64,8 +64,8 @@ def conv_specs(draw):
 @settings(max_examples=200, deadline=None)
 @given(spec=conv_specs())
 def test_canonical_spec_idempotent(spec):
-    canon, _ = canonical_spec(spec)
-    again, _ = canonical_spec(canon)
+    canon = canonical_spec(spec)
+    again = canonical_spec(canon)
     assert again == canon
     assert spec_key(again) == spec_key(canon)
 
@@ -74,7 +74,7 @@ def test_canonical_spec_idempotent(spec):
 @given(spec=conv_specs())
 def test_canonical_spec_preserves_workload_identity(spec):
     """The folds may permute geometry but never change the work itself."""
-    canon, _ = canonical_spec(spec)
+    canon = canonical_spec(spec)
     assert canon.macs == spec.macs
     assert canon.n == spec.n
     assert canon.c_in == spec.c_in
@@ -87,7 +87,7 @@ def test_canonical_spec_preserves_workload_identity(spec):
 def test_canonical_fold_is_bit_identical_under_reference_scheduler(spec):
     """The hard contract: a folded spec prices identically to the original
     through the *per-item reference* scheduler, to the last float bit."""
-    canon, _ = canonical_spec(spec)
+    canon = canonical_spec(spec)
     if spec_key(canon) == spec_key(spec):
         return  # no fold fired — nothing to prove
     for config in CONFIGS:
@@ -103,38 +103,48 @@ def test_canonical_fold_is_bit_identical_under_reference_scheduler(spec):
 @settings(max_examples=60, deadline=None)
 @given(spec=conv_specs())
 def test_relabel_restores_layer_name(spec):
-    from repro.systolic.simulator import LayerResult
+    """A memo entry priced under someone else's label is served to the
+    caller under its own name, with every other field equal."""
+    from repro.perf.cache import SIM_CACHE, clear_cache
+    from repro.systolic.simulator import TPUSim
 
-    _, relabel = canonical_spec(spec)
-    cached = LayerResult(
-        name="someone-elses-label", cycles=10.0, tflops=1.0, utilization=0.5,
-        compute_cycles=8.0, dma_cycles=4.0, exposed_dma_cycles=2.0, macs=100,
-    )
-    served = relabel(cached)
-    assert served.name == (spec.describe() or "conv")
-    assert dataclasses.replace(served, name=cached.name) == cached
-    # Serving an already-correctly-named result is the identity.
-    assert relabel(served) is served
+    elsewhere = dataclasses.replace(canonical_spec(spec), name="someone-elses-label")
+    folded = spec_key(elsewhere) != spec_key(spec)
+    clear_cache()
+    try:
+        sim = TPUSim()
+        cached = sim.simulate_conv(elsewhere)
+        served = sim.simulate_conv(spec)
+        # A fold makes it a canonical hit; otherwise only the name differs
+        # and the exact key (which ignores names) serves it.
+        assert SIM_CACHE.stats.canonical_hits == int(folded)
+        assert SIM_CACHE.stats.hits == 1
+        assert served.name == (spec.describe() or "conv")
+        assert dataclasses.replace(served, name=cached.name) == cached
+        # Serving an already-correctly-named entry is the identity.
+        assert sim.simulate_conv(elsewhere) is cached
+    finally:
+        clear_cache()
 
 
 def test_transpose_fold_requires_square_filter_and_noncontiguous_path():
     base = dict(n=1, c_in=16, h_in=28, w_in=14, c_out=16, padding=1)
     folds = ConvSpec(h_filter=3, w_filter=3, stride=2, **base)
-    assert canonical_spec(folds)[0].h_in == 14
+    assert canonical_spec(folds).h_in == 14
     rect_filter = ConvSpec(h_filter=3, w_filter=1, stride=2, **base)
-    assert canonical_spec(rect_filter)[0].h_in == 28
+    assert canonical_spec(rect_filter).h_in == 28
     contiguous = ConvSpec(h_filter=3, w_filter=3, stride=1, **base)
-    assert canonical_spec(contiguous)[0].h_in == 28
+    assert canonical_spec(contiguous).h_in == 28
 
 
 def test_pointwise_dilation_fold_requires_stride_above_one():
     base = dict(n=1, c_in=16, h_in=28, w_in=28, c_out=16,
                 h_filter=1, w_filter=1, padding=0)
     folds = ConvSpec(stride=2, dilation=2, **base)
-    assert canonical_spec(folds)[0].dilation == 1
+    assert canonical_spec(folds).dilation == 1
     # stride == 1 flips the fill-contiguity flag, so the fold must not fire.
     unit_stride = ConvSpec(stride=1, dilation=2, **base)
-    assert canonical_spec(unit_stride)[0].dilation == 2
+    assert canonical_spec(unit_stride).dilation == 2
 
 
 @pytest.mark.parametrize(

@@ -64,7 +64,7 @@ def test_jobs2_trace_is_one_connected_tree_per_task(tmp_path, capsys):
     # fig2 simulates layers, so its worker recorded real engine spans
     # nested under the adopted root (table2 is a config table: root only).
     fig2_names = {e.name for e in by_experiment["fig2"]["spans"].values()}
-    assert "tpu.conv.simulate" in fig2_names
+    assert "tpu.conv.batch" in fig2_names
     assert len(by_experiment["fig2"]["spans"]) > 1
 
 
