@@ -1,4 +1,4 @@
-.PHONY: install test test-fast bench bench-figures profile experiments export examples api-doc goldens sentinel bench-history fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke ci all
+.PHONY: install test test-fast bench bench-figures profile experiments export examples api-doc cli-surface goldens sentinel bench-history fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke ci all
 
 export PYTHONPATH := src
 
@@ -34,6 +34,9 @@ examples:
 
 api-doc:
 	python tools/gen_api_doc.py
+
+cli-surface:
+	python tools/gen_cli_surface.py
 
 goldens:
 	python tools/gen_goldens.py

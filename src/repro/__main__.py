@@ -1,50 +1,23 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+Commands (``repro <command> --help`` lists a command's flags):
 
-- ``run [ids...] [--all] [--quick] [--jobs N] [--trace [PATH]] [--profile]
-  [--log-level L] [--log-file PATH] [--quiet] [--export-dir DIR]
-  [--checkpoint] [--resume RUN_ID] [--task-timeout S] [--max-retries N]
-  [--inject-faults SPEC] [--audit off|cheap|full]`` —
-  regenerate the paper's tables/figures with full run-level observability,
-  fault tolerance and (``--audit``) runtime invariant auditing
-  (``experiments`` is the legacy spelling; both forward to
-  ``python -m repro.harness.runner``).
+- ``run`` — regenerate the paper's tables and figures (``experiments`` is the
+  legacy spelling; ``python -m repro.harness.runner`` is the same command).
 - ``simulate-conv`` — time one conv layer on TPUSim and the V100 model.
-- ``simulate-network <name> [--batch N] [--platform tpu|gpu]`` — a whole CNN.
+- ``simulate-network`` — time a whole CNN.
 - ``sweep-stride`` — the stride study for one layer across all paths.
 - ``list-networks`` — the available workload tables.
-- ``sentinel`` — the perf-regression gate over ``BENCH_history.jsonl`` and
-  the trace goldens (same engine as ``tools/check_regression.py``).
-- ``serve [--port P] [--store DIR] [--workers N]`` — a long-lived,
-  crash-only asyncio daemon answering ConvSpec timing queries over
-  HTTP/JSON: in-flight dedup, engine batching, supervised pre-forked
-  workers, per-request deadlines, per-spec circuit breakers, an SLO
-  degradation ladder, 429/503 + ``Retry-After`` load shedding,
-  ``/healthz`` + ``/readyz`` + ``/metrics``
-  (see :mod:`repro.store.serve` and :mod:`repro.store.workers`).
-- ``store verify|stats|compact DIR`` — integrity-scan (``verify
-  --quarantine`` moves corrupt records into ``<store>/quarantine/`` and
-  exits 0 once healed), describe, or LRU-compact a persistent result
-  store (``run --store DIR`` creates one; see :mod:`repro.store`).
-- ``dse sweep|status|replay`` — resilient distributed design-space
-  exploration: lease-based sharded sweep with adaptive Pareto refinement,
-  poison-task quarantine and a crash-safe, byte-reproducible frontier
-  artifact (see :mod:`repro.dse`).
-- ``fuzz [--specs N] [--seed S] [--corpus DIR] [--inject-faults SPEC]`` —
-  run random conv specs under full audit; failures are shrunk to minimal
-  reproducers and appended crash-safely to ``tests/audit/corpus/``.
-- ``top (--status-file PATH | --url URL) [--once] [--interval S]
-  [--plain]`` — live ops console over a runner's/server's status beacon
-  (see :mod:`repro.obs.flight.top`).
-- ``report [ids...] [--goldens DIR] [-o PATH] [--html] [--top N]`` —
-  Fig 2a-style bottleneck attribution (compute / lowering overhead /
-  DRAM-bound, roofline placement) from the golden cycle snapshots
-  (see :mod:`repro.harness.attribution`).
+- ``sentinel`` — the perf-regression and golden bit-exactness gate.
+- ``serve`` — answer ConvSpec timing queries over HTTP/JSON.
+- ``store verify|stats|compact`` — check, describe or compact a result store.
+- ``dse sweep|status|replay`` — crash-safe design-space exploration.
+- ``fuzz`` — random conv specs under full audit, shrunk into a corpus.
+- ``top`` — live console over a run's or a server's status beacon.
+- ``report`` — Fig 2a-style bottleneck attribution from the goldens.
 
-Every command accepts ``--log-level``/``--log-file``/``--quiet``
-(structured logging, see :mod:`repro.obs.log`) and ``--manifest`` (write a
-``results/<run_id>/manifest.json`` provenance record for the invocation).
+Every command accepts ``--log-level``/``--log-file``/``--quiet``/``--manifest``
+after its (leaf) subcommand, e.g. ``repro store stats DIR --quiet``.
 """
 
 from __future__ import annotations
@@ -54,12 +27,17 @@ import sys
 from typing import List, Optional
 
 from .core.conv_spec import ConvSpec
+from .dse.cli import add_dse_parser
 from .gpu.channel_first import channel_first_conv_time
 from .gpu.channel_last import channel_last_conv_time
 from .gpu.config import V100
 from .gpu.blocked_gemm import gemm_kernel_time
+from .harness import runner
+from .harness.attribution import add_report_args
 from .obs import log as obs_log
+from .obs.flight.top import add_top_args
 from .obs.sentinel import add_sentinel_args, run_sentinel
+from .store.serve import add_serve_args
 from .systolic.simulator import TPUSim
 from .workloads.networks import network, network_names
 
@@ -107,60 +85,6 @@ def _obs_parent() -> argparse.ArgumentParser:
         help="write results/<run_id>/manifest.json for this invocation",
     )
     return parent
-
-
-def _runner_argv(args) -> List[str]:
-    """Translate parsed run/experiments args back into runner argv."""
-    argv: List[str] = list(args.ids)
-    if args.quick:
-        argv.append("--quick")
-    if args.jobs != 1:
-        argv.extend(["--jobs", str(args.jobs)])
-    if args.cache_stats:
-        argv.append("--cache-stats")
-    if args.trace is not None:
-        argv.extend(["--trace", args.trace])
-    if args.export_dir is not None:
-        argv.extend(["--export-dir", args.export_dir])
-    if getattr(args, "profile", False):
-        argv.append("--profile")
-    if args.log_level != obs_log.DEFAULT_LEVEL:
-        argv.extend(["--log-level", args.log_level])
-    if args.log_file is not None:
-        argv.extend(["--log-file", args.log_file])
-    if args.quiet:
-        argv.append("--quiet")
-    if args.manifest:
-        argv.append("--manifest")
-    if getattr(args, "results_dir", "results") != "results":
-        argv.extend(["--results-dir", args.results_dir])
-    if getattr(args, "checkpoint", False):
-        argv.append("--checkpoint")
-    if getattr(args, "resume", None) is not None:
-        argv.extend(["--resume", args.resume])
-    if getattr(args, "run_id", None) is not None:
-        argv.extend(["--run-id", args.run_id])
-    if getattr(args, "task_timeout", None) is not None:
-        argv.extend(["--task-timeout", str(args.task_timeout)])
-    if getattr(args, "max_retries", None) is not None:
-        argv.extend(["--max-retries", str(args.max_retries)])
-    if getattr(args, "inject_faults", None) is not None:
-        argv.extend(["--inject-faults", args.inject_faults])
-    if getattr(args, "audit", "off") != "off":
-        argv.extend(["--audit", args.audit])
-    if getattr(args, "store", None) is not None:
-        argv.extend(["--store", args.store])
-    if getattr(args, "flight", False):
-        argv.append("--flight")
-    if getattr(args, "status_file", None) is not None:
-        argv.extend(["--status-file", args.status_file])
-    return argv
-
-
-def cmd_experiments(args) -> int:
-    from .harness.runner import main as runner_main
-
-    return runner_main(_runner_argv(args))
 
 
 def cmd_simulate_conv(args) -> int:
@@ -238,70 +162,6 @@ def cmd_sentinel(args) -> int:
     return run_sentinel(args=args)
 
 
-def cmd_serve(args) -> int:
-    from .store.serve import serve_main
-
-    argv = ["--host", args.host, "--port", str(args.port),
-            "--max-pending", str(args.max_pending),
-            "--batch-window", str(args.batch_window),
-            "--max-batch", str(args.max_batch),
-            "--workers", str(args.workers),
-            "--default-deadline-ms", str(args.default_deadline_ms),
-            "--breaker-threshold", str(args.breaker_threshold),
-            "--breaker-cooldown", str(args.breaker_cooldown),
-            "--slo-p99-ms", str(args.slo_p99_ms),
-            "--slo-error-ratio", str(args.slo_error_ratio)]
-    if args.no_watchdog:
-        argv.append("--no-watchdog")
-    if args.inject_faults:
-        argv.extend(["--inject-faults", args.inject_faults])
-    if args.store:
-        argv.extend(["--store", args.store])
-    if args.run_id:
-        argv.extend(["--run-id", args.run_id])
-    if args.log_file:
-        argv.extend(["--log-file", args.log_file])
-    if args.trace is not None:
-        argv.extend(["--trace", args.trace])
-    if args.status_file:
-        argv.extend(["--status-file", args.status_file])
-    if args.flight:
-        argv.extend(["--flight", args.flight])
-    return serve_main(argv)
-
-
-def cmd_top(args) -> int:
-    from .obs.flight.top import top_main
-
-    argv: List[str] = []
-    if args.status_file:
-        argv.extend(["--status-file", args.status_file])
-    if args.url:
-        argv.extend(["--url", args.url])
-    if args.once:
-        argv.append("--once")
-    if args.interval != 1.0:
-        argv.extend(["--interval", str(args.interval)])
-    if args.plain:
-        argv.append("--plain")
-    return top_main(argv)
-
-
-def cmd_report(args) -> int:
-    from .harness.attribution import report_main
-
-    argv: List[str] = list(args.experiments)
-    if args.goldens != "tests/trace/goldens":
-        argv.extend(["--goldens", args.goldens])
-    if args.output:
-        argv.extend(["-o", args.output])
-    if args.html:
-        argv.append("--html")
-    if args.top:
-        argv.extend(["--top", str(args.top)])
-    return report_main(argv)
-
-
 def cmd_store(args) -> int:
     from .store import ResultStore
 
@@ -363,57 +223,11 @@ def cmd_fuzz(args) -> int:
     return 1 if report.violations else 0
 
 
-def _add_runner_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("ids", nargs="*")
-    p.add_argument("--all", action="store_true", dest="run_all",
-                   help="run every experiment (same as passing no ids)")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache-stats", action="store_true")
-    p.add_argument(
-        "--trace",
-        nargs="?",
-        const="trace.json",
-        default=None,
-        metavar="PATH",
-        help="write Chrome trace JSON to PATH (default trace.json) and print "
-        "a cycle-accounting summary",
-    )
-    p.add_argument("--export-dir", default=None)
-    p.add_argument("--profile", action="store_true",
-                   help="per-experiment wall/CPU/allocation hotspot table")
-    p.add_argument("--results-dir", default="results",
-                   help="directory for <run_id>/ observability artifacts")
-    p.add_argument("--checkpoint", action="store_true",
-                   help="journal completed experiments for crash recovery")
-    p.add_argument("--resume", default=None, metavar="RUN_ID",
-                   help="resume a checkpointed run, skipping journaled work")
-    p.add_argument("--run-id", default=None, metavar="RUN_ID",
-                   help="pin the run id (default: generated)")
-    p.add_argument("--task-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-experiment wall-clock limit under --jobs")
-    p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="transient-fault retries per experiment (default 2)")
-    p.add_argument("--inject-faults", default=None, metavar="SPEC",
-                   help="deterministic fault injection spec, e.g. "
-                   "'seed=7,crash@1,dram-drop=0.01'")
-    p.add_argument("--audit", choices=("off", "cheap", "full"), default="off",
-                   help="runtime invariant auditing ('full' adds per-layer "
-                   "cross-model differential checks; default off)")
-    p.add_argument("--store", default=None, metavar="DIR",
-                   help="persistent on-disk result store backing the "
-                   "simulation cache (shared across processes and runs)")
-    p.add_argument("--flight", action="store_true",
-                   help="flight recorder: dump recent spans/logs to "
-                   "results/<run_id>/ on faults, timeouts and SIGUSR1")
-    p.add_argument("--status-file", default=None, metavar="PATH",
-                   help="status beacon JSON for `repro top --status-file`")
-    p.set_defaults(func=cmd_experiments)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="repro", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     obs_parent = _obs_parent()
 
@@ -421,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
         "run", parents=[obs_parent],
         help="regenerate the paper's tables/figures (with observability)",
     )
-    _add_runner_options(p)
+    runner.add_run_args(p)
 
     p = sub.add_parser(
         "experiments", parents=[obs_parent],
         help="legacy alias of `run`",
     )
-    _add_runner_options(p)
+    runner.add_run_args(p)
 
     p = sub.add_parser(
         "simulate-conv", parents=[obs_parent],
@@ -467,61 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve conv-timing queries over HTTP/JSON (asyncio daemon "
         "with request dedup, batching, load shedding and /metrics)",
     )
-    from .store.serve import ServeConfig as _ServeDefaults
+    add_serve_args(p)
 
-    defaults = _ServeDefaults()
-    p.add_argument("--host", default=defaults.host)
-    p.add_argument("--port", type=int, default=defaults.port,
-                   help=f"listen port (default {defaults.port}; 0 = ephemeral)")
-    p.add_argument("--store", default="", metavar="DIR",
-                   help="persistent result store to warm-start from")
-    p.add_argument("--max-pending", type=int, default=defaults.max_pending,
-                   help="pending-query budget before 429 load shedding")
-    p.add_argument("--batch-window", type=float,
-                   default=defaults.batch_window_s, metavar="S",
-                   help="coalescing window before each engine batch")
-    p.add_argument("--max-batch", type=int, default=defaults.max_batch,
-                   help="queries per simulate_conv_batch call at most")
-    p.add_argument("--workers", type=int, default=defaults.workers,
-                   help="pre-forked request workers behind a supervising "
-                   "parent (default 1 = single process)")
-    p.add_argument("--default-deadline-ms", type=float,
-                   default=defaults.default_deadline_ms, metavar="MS",
-                   help="per-request deadline when no X-Repro-Deadline-Ms "
-                   "header arrives")
-    p.add_argument("--breaker-threshold", type=int,
-                   default=defaults.breaker_threshold,
-                   help="failures that trip a spec fingerprint's circuit "
-                   "breaker (fast 422 afterwards)")
-    p.add_argument("--breaker-cooldown", type=float,
-                   default=defaults.breaker_cooldown_s, metavar="S",
-                   help="seconds an open breaker refuses before half-opening")
-    p.add_argument("--slo-p99-ms", type=float, default=defaults.slo_p99_ms,
-                   help="p99 latency above which the degradation ladder "
-                   "escalates")
-    p.add_argument("--slo-error-ratio", type=float,
-                   default=defaults.slo_error_ratio,
-                   help="error ratio above which the ladder escalates")
-    p.add_argument("--no-watchdog", action="store_true",
-                   help="disable the SLO watchdog (degradation rung moves "
-                   "only explicitly)")
-    p.add_argument("--inject-faults", default=None, metavar="SPEC",
-                   help="seeded chaos plan, e.g. 'serve=conn-reset,"
-                   "worker-crash,rate=0.05,seed=7,poison=hostile'")
-    p.add_argument("--run-id", default=None, metavar="RUN_ID",
-                   help="pin the daemon's run id (default: generated)")
-    p.add_argument("--trace", nargs="?", const="serve-trace.json",
-                   default=None, metavar="PATH",
-                   help="record request/batch spans; Chrome trace written "
-                   "to PATH on drain (default serve-trace.json)")
-    p.add_argument("--status-file", default=None, metavar="PATH",
-                   help="status beacon JSON for `repro top --status-file`")
-    p.add_argument("--flight", default=None, metavar="DIR",
-                   help="flight-recorder dumps (faults, SIGUSR1) into DIR")
-    p.set_defaults(func=cmd_serve)
-
+    # The observability options go on leaf parsers only: on a group parser
+    # too, argparse would reset a group-level value to the leaf's default.
     p = sub.add_parser(
-        "store", parents=[obs_parent],
+        "store",
         help="inspect/maintain a persistent result store "
         "(verify | stats | compact)",
     )
@@ -544,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-bytes", type=int, default=None,
                             help="total record bytes to keep at most")
         sp.set_defaults(func=cmd_store)
-
-    from .dse.cli import add_dse_parser
 
     add_dse_parser(sub, obs_parent)
 
@@ -575,42 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
         "top", parents=[obs_parent],
         help="live ops console over a runner's/server's status beacon",
     )
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--status-file", default=None, metavar="PATH",
-                        help="beacon file written by --status-file runs")
-    source.add_argument("--url", default=None, metavar="URL",
-                        help="base URL of a serve daemon (/statusz is polled)")
-    p.add_argument("--once", action="store_true",
-                   help="print one snapshot and exit (for scripts/CI)")
-    p.add_argument("--interval", type=float, default=1.0, metavar="S",
-                   help="refresh period (default 1s)")
-    p.add_argument("--plain", action="store_true",
-                   help="line-oriented output instead of the curses screen")
-    p.set_defaults(func=cmd_top)
+    add_top_args(p)
 
     p = sub.add_parser(
         "report", parents=[obs_parent],
         help="Fig 2a-style bottleneck attribution from golden snapshots",
     )
-    p.add_argument("experiments", nargs="*",
-                   help="golden experiment ids (default: fig13)")
-    p.add_argument("--goldens", default="tests/trace/goldens", metavar="DIR",
-                   help="directory holding <experiment>.json goldens")
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="write the report here instead of stdout")
-    p.add_argument("--html", action="store_true",
-                   help="emit a self-contained HTML page")
-    p.add_argument("--top", type=int, default=0, metavar="N",
-                   help="table rows per experiment (0 = all workloads)")
-    p.set_defaults(func=cmd_report)
+    add_report_args(p)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.func is cmd_experiments:
+    if args.func is runner.run:
         # The runner owns its observability lifecycle (it also has --profile
-        # and worker processes to coordinate); just forward the flags.
+        # and worker processes to coordinate).
         return args.func(args)
     obs_active = args.log_file is not None or args.manifest
     obs_log.configure(
@@ -628,6 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         with RunContext(
             tool=f"repro.{args.command}",
             results_dir="results" if args.manifest else None,
+            run_id=getattr(args, "run_id", None),
             args={"command": args.command},
         ) as run_ctx:
             obs_log.get_state().run_id = run_ctx.run_id

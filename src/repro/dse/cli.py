@@ -31,10 +31,13 @@ __all__ = ["add_dse_parser", "cmd_dse"]
 
 
 def add_dse_parser(sub, obs_parent) -> None:
-    """Register the ``dse`` subcommand tree on the root CLI."""
+    """Register the ``dse`` subcommand tree on the root CLI.
+
+    ``obs_parent`` goes on the leaf parsers only: on the group parser too,
+    argparse would reset a group-level value to the leaf's default.
+    """
     p = sub.add_parser(
         "dse",
-        parents=[obs_parent],
         help="resilient distributed design-space exploration "
         "(sweep | status | replay)",
     )

@@ -46,7 +46,8 @@ __all__ = [
     "render_markdown",
     "render_html",
     "report_main",
-    "build_parser",
+    "report",
+    "add_report_args",
 ]
 
 
@@ -326,11 +327,8 @@ def render_html(sections: List[str]) -> str:
 # --------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro report",
-        description="Fig 2a-style bottleneck attribution from golden snapshots.",
-    )
+def add_report_args(parser: argparse.ArgumentParser) -> None:
+    """Install ``repro report``'s options on ``parser``."""
     parser.add_argument(
         "experiments", nargs="*", default=None,
         help="golden experiment ids (default: fig13)",
@@ -351,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=0, metavar="N",
         help="per-experiment table rows to show (0 = all workloads)",
     )
-    return parser
+    parser.set_defaults(func=report)
 
 
-def report_main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def report(args: argparse.Namespace) -> int:
+    """Run ``repro report`` from its parsed options; returns the exit code."""
     experiments = args.experiments or ["fig13"]
     goldens_dir = pathlib.Path(args.goldens)
     sections: List[str] = []
@@ -380,6 +378,13 @@ def report_main(argv: Optional[List[str]] = None) -> int:
     else:
         print(text, end="")
     return 0
+
+
+def report_main(argv: Optional[List[str]] = None) -> int:
+    """``repro report ARGV`` (argv defaults to ``sys.argv[1:]``)."""
+    from ..__main__ import main
+
+    return main(["report", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

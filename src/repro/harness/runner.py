@@ -7,6 +7,10 @@ Usage::
     python -m repro.harness.runner --quick    # reduced workloads (CI-sized)
     python -m repro.harness.runner --jobs 4   # fan experiments out over processes
 
+``python -m repro.harness.runner ARGS`` is ``repro run ARGS``: one parser
+(:func:`add_run_args` plus the root CLI's observability flags) and one
+code path (:func:`run`).
+
 Each experiment module exposes ``run(quick=False) -> ExperimentResult``; the
 registry below is the complete per-experiment index from DESIGN.md.
 
@@ -90,6 +94,8 @@ __all__ = [
     "run_many_telemetry",
     "run_all",
     "harness_metrics",
+    "add_run_args",
+    "run",
     "main",
 ]
 
@@ -636,9 +642,16 @@ def _install_sigterm_handler() -> None:
         pass  # not the main thread (embedded use); SIGTERM stays default
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("experiments", nargs="*", help="experiment ids (default: all)")
+def add_run_args(parser: argparse.ArgumentParser) -> None:
+    """Install ``repro run``'s options on ``parser``.
+
+    The observability options (``--log-level``/``--log-file``/``--quiet``/
+    ``--manifest``) come from the root CLI's shared parent parser.
+    """
+    parser.add_argument("ids", nargs="*", metavar="experiment",
+                        help="experiment ids (default: all)")
+    parser.add_argument("--all", action="store_true", dest="run_all",
+                        help="run every experiment (same as passing no ids)")
     parser.add_argument("--quick", action="store_true", help="reduced workloads")
     parser.add_argument(
         "--jobs",
@@ -676,33 +689,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write <id>.json and per-table CSVs into this directory",
     )
     parser.add_argument(
-        "--log-level",
-        choices=sorted(obs_log.LEVELS, key=obs_log.LEVELS.get),
-        default=obs_log.DEFAULT_LEVEL,
-        help="stderr diagnostics threshold (default: warning — silent runs)",
-    )
-    parser.add_argument(
-        "--log-file",
-        default=None,
-        metavar="PATH",
-        help="append every structured event (debug and up) to PATH as JSONL",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress report rendering on stdout (artifacts still written)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="profile each experiment (wall/CPU/tracemalloc) and print a "
         "hotspot table",
-    )
-    parser.add_argument(
-        "--manifest",
-        action="store_true",
-        help="write results/<run_id>/manifest.json + metrics.prom even "
-        "without --log-file/--profile",
     )
     parser.add_argument(
         "--results-dir",
@@ -775,8 +765,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="mirror live sweep progress (queue depth, ETA, cache hit "
         "rates) to PATH for 'repro top --status-file PATH'",
     )
-    args = parser.parse_args(argv)
-    ids = args.experiments or list(EXPERIMENTS)
+    parser.set_defaults(func=run)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run ``repro run`` from its parsed options; returns the exit code."""
+    ids = args.ids or list(EXPERIMENTS)
     for eid in ids:
         if eid not in EXPERIMENTS:  # fail before spawning any worker
             raise KeyError(
@@ -1031,6 +1025,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         obs_log.shutdown()
     return exit_code
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``repro run ARGV`` (argv defaults to ``sys.argv[1:]``)."""
+    from ..__main__ import main as repro_main
+
+    return repro_main(["run", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -24,11 +24,9 @@ import argparse
 import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import List, Optional
 
-__all__ = ["render_status", "read_status", "top_main"]
+__all__ = ["render_status", "read_status", "add_top_args", "top", "top_main"]
 
 
 def read_status(
@@ -43,6 +41,11 @@ def read_status(
             raise RuntimeError(f"cannot read status file {status_file}: {exc}") from exc
         source = status_file
     elif url is not None:
+        # Imported here: every `repro` command imports this module to build
+        # its parser, and only --url needs urllib.
+        import urllib.error
+        import urllib.request
+
         target = url.rstrip("/") + "/statusz"
         try:
             with urllib.request.urlopen(target, timeout=timeout) as response:
@@ -186,10 +189,8 @@ def _loop_curses(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro top", description="Live ops console for repro runs and serve."
-    )
+def add_top_args(parser: argparse.ArgumentParser) -> None:
+    """Install ``repro top``'s options on ``parser``."""
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--status-file", help="beacon status file written by a runner/supervisor"
@@ -208,11 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reprint frames instead of a curses screen (default off-tty)",
     )
-    return parser
+    parser.set_defaults(func=top)
 
 
-def top_main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def top(args: argparse.Namespace) -> int:
+    """Run ``repro top`` from its parsed options; returns the exit code."""
     if args.once:
         try:
             print(render_status(read_status(args.status_file, args.url)))
@@ -232,6 +233,13 @@ def top_main(argv: Optional[List[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"repro top: {exc}", file=sys.stderr)
         return 1
+
+
+def top_main(argv: Optional[List[str]] = None) -> int:
+    """``repro top ARGV`` (argv defaults to ``sys.argv[1:]``)."""
+    from ...__main__ import main
+
+    return main(["top", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -76,6 +76,7 @@ import dataclasses
 import hashlib
 import json
 import signal
+import sys
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -113,7 +114,8 @@ __all__ = [
     "http_request_retry",
     "result_payload",
     "serve_main",
-    "build_parser",
+    "serve",
+    "add_serve_args",
 ]
 
 #: ConvSpec fields a query's ``spec`` object may set.
@@ -1414,11 +1416,12 @@ async def http_request_retry(
 # ----------------------------------------------------------------- CLI entry
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve conv-timing queries over HTTP/JSON (stdlib asyncio).",
-    )
+def add_serve_args(parser: argparse.ArgumentParser) -> None:
+    """Install ``repro serve``'s options on ``parser``.
+
+    The observability options (``--log-level``/``--log-file``/``--quiet``/
+    ``--manifest``) come from the root CLI's shared parent parser.
+    """
     defaults = ServeConfig()
     parser.add_argument("--host", default=defaults.host)
     parser.add_argument("--port", type=int, default=defaults.port,
@@ -1458,8 +1461,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "worker-crash,rate=0.05,seed=7,poison=hostile'")
     parser.add_argument("--run-id", default=None,
                         help="run id stamped on responses/logs (default: generated)")
-    parser.add_argument("--log-file", default=None, metavar="PATH",
-                        help="append JSONL log events (with run/trace ids) here")
     parser.add_argument("--trace", default=None, metavar="PATH", nargs="?",
                         const="serve-trace.json",
                         help="record request span trees; Chrome export written "
@@ -1472,14 +1473,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--flight", default=None, metavar="DIR",
                         help="enable the flight recorder; dumps land in DIR "
                              "on faults or SIGUSR1")
-    return parser
+    parser.set_defaults(func=serve)
 
 
-def _config_from_args(args) -> ServeConfig:
+def _config_from_args(args, store_dir: str) -> ServeConfig:
     return ServeConfig(
         host=args.host, port=args.port, max_pending=args.max_pending,
         batch_window_s=args.batch_window, max_batch=args.max_batch,
-        store_dir=args.store, workers=max(1, args.workers),
+        store_dir=store_dir, workers=max(1, args.workers),
         default_deadline_ms=args.default_deadline_ms,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
@@ -1492,11 +1493,12 @@ def _config_from_args(args) -> ServeConfig:
 def configure_worker_observability(
     args, run_id: str, worker_index: Optional[int] = None
 ) -> None:
-    """Wire logging / beacon / flight recorder / faults for one process.
+    """Wire logging / beacon / flight recorder / tracing for one process.
 
     Shared by the single-process daemon and every pre-forked worker (each
-    worker gets its own beacon file suffix and the same seeded fault
-    plan — deterministic chaos per worker index).
+    worker gets its own beacon file suffix).  The fault plan is activated
+    once by :func:`serve`, so every forked worker inherits the same
+    seeded plan.
     """
     status_path = args.status_file
     if status_path and worker_index is not None:
@@ -1511,10 +1513,6 @@ def configure_worker_observability(
         flight_recorder.configure_recorder(run_dir=args.flight)
     if args.trace:
         trace.enable()
-    if args.inject_faults:
-        fault_injection.activate(
-            fault_injection.FaultPlan.parse(args.inject_faults)
-        )
 
 
 async def run_server(
@@ -1573,24 +1571,46 @@ async def run_server(
         print(f"serve: trace written to {path}")
 
 
-def serve_main(argv: Optional[List[str]] = None) -> int:
+def serve(args: argparse.Namespace) -> int:
     """Run the daemon until SIGINT/SIGTERM, then drain gracefully."""
-    args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
+    from . import attach, resolve_store_dir
+
+    # Refused here, before the listener opens or any worker forks: a
+    # worker can only die of a bad setting, and the supervisor respawns it.
+    try:
+        store_dir = resolve_store_dir(args.store) or ""
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    if args.inject_faults:
+        try:
+            fault_injection.activate(
+                fault_injection.FaultPlan.parse(args.inject_faults)
+            )
+        except ValueError as err:
+            print(f"error: bad --inject-faults spec: {err}", file=sys.stderr)
+            return 2
+    config = _config_from_args(args, store_dir)
     from ..obs.manifest import new_run_id
 
-    run_id = args.run_id or new_run_id()
+    # `repro --manifest`/`--log-file` already opened a run under this id.
+    run_id = args.run_id or obs_log.get_state().run_id or new_run_id()
     if config.workers > 1:
         from .workers import supervise
 
         return supervise(args, config, run_id)
     configure_worker_observability(args, run_id)
     if config.store_dir:
-        from . import attach
-
         store = attach(config.store_dir)
         print(f"serve: persistent store at {store.root} "
               f"({len(store)} records)")
     asyncio.run(run_server(config, run_id, trace_path=args.trace))
     obs_log.shutdown()
     return 0
+
+
+def serve_main(argv: Optional[List[str]] = None) -> int:
+    """``repro serve ARGV`` (argv defaults to ``sys.argv[1:]``)."""
+    from ..__main__ import main
+
+    return main(["serve", *(sys.argv[1:] if argv is None else argv)])

@@ -107,3 +107,28 @@ def test_unknown_command_rejected():
 def test_unknown_network_errors():
     with pytest.raises(KeyError):
         main(["simulate-network", "LeNet"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["store", "--log-file", "a.jsonl", "verify", "DIR"],
+        ["store", "--quiet", "stats", "DIR"],
+        ["dse", "--log-level", "info", "status", "--out", "X"],
+    ],
+)
+def test_observability_flags_before_a_leaf_subcommand_are_refused(argv):
+    # Accepted on the group parser, the leaf's defaults would silently
+    # overwrite them; refusing beats ignoring.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_observability_flags_after_the_leaf_subcommand_apply():
+    args = build_parser().parse_args(["store", "stats", "DIR", "--quiet"])
+    assert args.quiet
+    args = build_parser().parse_args(
+        ["dse", "status", "--out", "X", "--log-level", "info"]
+    )
+    assert args.log_level == "info"

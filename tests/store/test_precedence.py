@@ -7,6 +7,7 @@ refuses to guess which store the operator meant.
 
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -81,3 +82,51 @@ def test_dse_cli_conflict_exits_2(tmp_path):
     )
     assert result.returncode == 2, result.stderr[-400:]
     assert ENV_VAR in result.stdout + result.stderr
+
+
+def _start_serve(tmp_path, env_store, *extra):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
+    env[ENV_VAR] = env_store
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-watchdog",
+         *extra],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork"),
+        ),
+    ],
+)
+def test_serve_cli_conflict_exits_2(tmp_path, workers):
+    proc = _start_serve(
+        tmp_path, str(tmp_path / "env-store"),
+        "--workers", str(workers), "--store", str(tmp_path / "flag-store"),
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("serve kept running despite the --store conflict")
+    assert proc.returncode == 2, err[-400:]
+    assert ENV_VAR in err
+    assert "listening" not in out
+
+
+def test_serve_cli_env_only_attaches_the_store(tmp_path):
+    env_store = tmp_path / "env-store"
+    proc = _start_serve(tmp_path, str(env_store))
+    try:
+        first_line = proc.stdout.readline()
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=30)
+    assert first_line.startswith(f"serve: persistent store at {env_store} "), first_line

@@ -2,6 +2,13 @@
 and the connected request span tree under tracing."""
 
 import asyncio
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +24,8 @@ from repro.store.serve import (
 from repro.trace import context as tc
 from repro.trace import tracer as trace
 from repro.trace.export import span_forest
+
+REPO = Path(__file__).resolve().parents[2]
 
 SPEC = {"n": 2, "c_in": 32, "h_in": 14, "w_in": 14, "c_out": 64,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
@@ -182,3 +191,41 @@ def test_untraced_requests_record_no_spans():
         assert trace.drain_events() == []
 
     asyncio.run(scenario())
+
+
+def _serve_with_manifest(tmp_path, *extra):
+    """Boot `repro serve --manifest` in tmp_path, SIGTERM it, return its run id."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--no-watchdog", "--manifest", *extra],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        match = re.search(r"listening on http://[0-9.]+:(\d+) .* run=([^)]+)\)", line)
+        assert match, f"no listening line, got: {line!r}"
+        # An answered request means the SIGTERM handler is installed.
+        status, _ = asyncio.run(
+            http_request("127.0.0.1", int(match.group(1)), "GET", "/healthz")
+        )
+        assert status == 200
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    return match.group(2)
+
+
+def test_serve_manifest_uses_the_pinned_run_id(tmp_path):
+    assert _serve_with_manifest(tmp_path, "--run-id", "pinned") == "pinned"
+    manifest = json.loads((tmp_path / "results" / "pinned" / "manifest.json").read_text())
+    assert manifest["run_id"] == "pinned"
+
+
+def test_serve_manifest_dir_is_the_announced_run_id(tmp_path):
+    run_id = _serve_with_manifest(tmp_path)
+    (run_dir,) = (tmp_path / "results").iterdir()
+    assert run_dir.name == run_id
+    assert json.loads((run_dir / "manifest.json").read_text())["run_id"] == run_id

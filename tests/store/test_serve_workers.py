@@ -130,3 +130,26 @@ def test_supervised_fleet_drains_cleanly_on_sigterm(tmp_path):
     assert rc == 0, f"supervisor exited {rc}:\n{out}"
     assert "supervisor drained" in out
     assert "respawns=0" in out
+
+
+def test_bad_inject_faults_spec_exits_2_before_forking(tmp_path):
+    # Parsed per worker, a bad plan would kill every worker at start-up and
+    # the supervisor would respawn them forever; it must be refused first.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--workers", "2", "--port", "0", "--no-watchdog",
+         "--inject-faults", "serve=no-such-mode"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("serve with a bad --inject-faults spec still ran after 10 s")
+    assert proc.returncode == 2, err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "bad --inject-faults spec" in errors[0], err
+    assert "listening" not in out
