@@ -14,9 +14,12 @@ code path (:func:`run`).
 Each experiment module exposes ``run(quick=False) -> ExperimentResult``; the
 registry below is the complete per-experiment index from DESIGN.md.
 
-``--jobs N`` runs experiments in a ``ProcessPoolExecutor``; results are
-collected and printed in submission order, so the report is byte-identical
-to a serial run (each experiment is deterministic and self-contained).
+Every ``repro run`` executes its experiments through the
+:class:`~repro.resilience.supervisor.Supervisor`: in this process with
+``--jobs 1`` (the default), over N worker processes with ``--jobs N``.
+Results are collected and printed in submission order, so the report is
+byte-identical either way (each experiment is deterministic and
+self-contained).
 
 ``--trace [PATH]`` enables the :mod:`repro.trace` instrumentation for the
 run: a Chrome ``trace_event`` JSON lands at PATH (default ``trace.json``)
@@ -40,10 +43,12 @@ Resilience (see :mod:`repro.resilience`): ``--checkpoint`` journals each
 completed experiment to ``results/<run_id>/checkpoint.jsonl`` and
 ``--resume RUN_ID`` skips the journaled work of a crashed sweep (the
 reconstructed report is bit-identical; the hit count prints to stderr).
-``--jobs N`` runs are *supervised*: ``--task-timeout`` bounds each
-experiment's wall clock, ``--max-retries`` retries transient faults with
-seeded exponential backoff, crashed pools are respawned (degrading to
-serial execution if they keep dying), and ``--inject-faults SPEC``
+Every run is *supervised*: ``--max-retries`` retries transient faults
+with seeded exponential backoff, an experiment that still fails is
+reported without stopping the others (the run then renders nothing and
+exits 1), and under ``--jobs N`` ``--task-timeout`` bounds each
+experiment's wall clock and crashed pools are respawned (degrading to
+serial execution if they keep dying).  ``--inject-faults SPEC``
 deterministically manufactures crashes/hangs/flaky failures plus DRAM/
 SRAM misbehaviour so every recovery path is testable.  ``Ctrl-C``
 cancels pending work, flushes the journal and exits 130; ``SIGTERM``
@@ -219,14 +224,15 @@ def _run_with_telemetry(
 ) -> Tuple[ExperimentResult, RunTelemetry]:
     """Run one experiment with per-run cache accounting (and tracing if on).
 
-    Runs in the parent (serial) or in a pool worker (``--jobs``); either way
-    the process-global tracer/registry/cache belong to *this* process, so
-    resetting them here is safe and gives each experiment a clean window.
+    Runs in the supervising process (``--jobs 1``) or in a pool worker;
+    either way the process-global tracer/registry/cache belong to *this*
+    process, so resetting them here is safe and gives each experiment a
+    clean window.
 
-    ``traceparent`` (a W3C header string, threaded through the supervisor
-    payload under ``--jobs``) carries the task's trace context across the
-    process boundary; the experiment span adopts it, so every task yields
-    exactly one connected span tree in the merged Chrome export.
+    ``traceparent`` (a W3C header string the supervising process mints per
+    task when tracing) carries the task's trace context across the process
+    boundary; the experiment span adopts it, so every task yields exactly
+    one connected span tree in the merged Chrome export.
     """
     if os.environ.get("REPRO_STORE_DIR"):
         # --store exports the directory before workers spawn, so every
@@ -272,54 +278,44 @@ def _run_with_telemetry(
             raise
         return result, time.perf_counter() - start
 
+    events: list = []
+    layers: list = []
+    kernels: list = []
     if not tracing:
         result, wall_s = execute()
-        telemetry = RunTelemetry(
-            cache=SIM_CACHE.stats,
-            timings=[(experiment_id, wall_s)],
-            phases=list(profiler.samples) if profiler is not None else [],
-            audit=audit_mod.snapshot() if auditing else {},
-        )
-        obs_log.info(
-            "experiment.done", experiment=experiment_id, wall_s=round(wall_s, 4)
-        )
-        return result, telemetry
-    from ..trace import context as trace_context
-    from ..trace import metrics as trace_metrics
-    from ..trace import tracer as trace
+    else:
+        from ..trace import context as trace_context
+        from ..trace import metrics as trace_metrics
+        from ..trace import tracer as trace
 
-    registry = trace_metrics.get_registry()
-    registry.clear()
-    trace.get_tracer().clear()
-    trace.enable()
-    # The task's root context: received from the supervisor under --jobs,
-    # freshly minted for serial runs.  The experiment span adopts it.
-    root_ctx = (
-        trace_context.TraceContext.from_traceparent(traceparent)
-        or trace_context.TraceContext.new()
-    )
-    try:
-        with trace_context.activate_root(root_ctx):
-            with trace.span(
-                "experiment", cat="harness", experiment=experiment_id
-            ):
-                result, wall_s = execute()
-        telemetry = RunTelemetry(
-            events=trace.drain_events(),
-            layers=registry.layers,
-            kernels=registry.kernels,
-            cache=SIM_CACHE.stats,
-            timings=[(experiment_id, wall_s)],
-            phases=list(profiler.samples) if profiler is not None else [],
-            audit=audit_mod.snapshot() if auditing else {},
-        )
-    finally:
-        trace.disable()
+        registry = trace_metrics.get_registry()
         registry.clear()
+        trace.get_tracer().clear()
+        trace.enable()
+        root_ctx = trace_context.TraceContext.from_traceparent(traceparent)
+        try:
+            with trace_context.activate_root(root_ctx):
+                with trace.span(
+                    "experiment", cat="harness", experiment=experiment_id
+                ):
+                    result, wall_s = execute()
+            events = trace.drain_events()
+            layers, kernels = registry.layers, registry.kernels
+        finally:
+            trace.disable()
+            registry.clear()
     obs_log.info(
         "experiment.done", experiment=experiment_id, wall_s=round(wall_s, 4)
     )
-    return result, telemetry
+    return result, RunTelemetry(
+        events=events,
+        layers=layers,
+        kernels=kernels,
+        cache=SIM_CACHE.stats,
+        timings=[(experiment_id, wall_s)],
+        phases=list(profiler.samples) if profiler is not None else [],
+        audit=audit_mod.snapshot() if auditing else {},
+    )
 
 
 def run_many_telemetry(
@@ -332,30 +328,25 @@ def run_many_telemetry(
 ) -> Tuple[List[ExperimentResult], RunTelemetry]:
     """Like :func:`run_many`, but also collect :class:`RunTelemetry`.
 
-    ``jobs > 1`` fans out through the :mod:`repro.resilience` supervisor
-    with the default policy (no timeout, transient retries on); the first
-    unrecoverable failure raises, matching the serial path's fail-loud
-    contract.
+    Runs through the :mod:`repro.resilience` supervisor with the default
+    policy (no timeout, transient retries on): in this process when
+    ``jobs <= 1``, over a worker pool otherwise.  Once every experiment
+    has had its attempts, the first one that still failed raises
+    :class:`~repro.errors.PermanentFault`.
     """
-    if jobs <= 1:
-        pairs = [
-            _run_with_telemetry(eid, quick, tracing, profiling, audit_level)
-            for eid in ids
-        ]
-    else:
-        from ..resilience.supervisor import RetryPolicy
+    from ..resilience.supervisor import RetryPolicy
 
-        by_id, report = _run_supervised(
-            ids, quick=quick, tracing=tracing, profiling=profiling,
-            jobs=jobs, policy=RetryPolicy(), audit_level=audit_level,
+    by_id, report = _run_supervised(
+        ids, quick=quick, tracing=tracing, profiling=profiling,
+        jobs=jobs, policy=RetryPolicy(), audit_level=audit_level,
+    )
+    if report.failures:
+        first = report.failures[0]
+        raise PermanentFault(
+            f"experiment {first.key} failed [{first.fault}] after "
+            f"{first.attempts} attempt(s): {first.message}"
         )
-        if report.failures:
-            first = report.failures[0]
-            raise PermanentFault(
-                f"experiment {first.key} failed [{first.fault}] after "
-                f"{first.attempts} attempt(s): {first.message}"
-            )
-        pairs = [by_id[eid] for eid in ids]
+    pairs = [by_id[eid] for eid in ids]
     results = [result for result, _ in pairs]
     telemetry = RunTelemetry.merge(part for _, part in pairs)
     return results, telemetry
@@ -366,20 +357,22 @@ def _supervised_task(
     index: int,
     attempt: int,
 ) -> Tuple[ExperimentResult, RunTelemetry]:
-    """One supervised unit of work (runs in a pool worker, or serially).
+    """One supervised unit of work (runs in a pool worker, or in the
+    supervising process).
 
-    ``payload`` carries ``(experiment_id, quick, tracing, profiling,
-    fault_spec, audit_level, supervisor_pid[, traceparent])``.  The
-    optional eighth element is the task's W3C trace context, minted in the
-    supervising process so a ``--jobs N`` trace reassembles into one
-    connected tree per task.  Process-level injected faults (crash/hang)
-    only fire when this is *not* the supervising process, so the
+    ``payload`` is the tuple :func:`_run_supervised` builds:
+    ``(experiment_id, quick, tracing, profiling, fault_spec, audit_level,
+    supervisor_pid, traceparent)``.  ``traceparent`` is the task's W3C
+    trace context (``None`` unless tracing), minted in the supervising
+    process so a ``--jobs N`` trace reassembles into one connected tree
+    per task.  Process-level injected faults (crash/hang) only fire when
+    this is *not* the supervising process, so a ``--jobs 1`` run or the
     degraded-serial fallback can never be taken down by its own injection.
     """
-    eid, quick, tracing, profiling, fault_spec, audit_level, supervisor_pid = (
-        payload[:7]
-    )
-    traceparent = payload[7] if len(payload) > 7 else None
+    (
+        eid, quick, tracing, profiling, fault_spec, audit_level,
+        supervisor_pid, traceparent,
+    ) = payload
     if fault_spec is None:
         return _run_with_telemetry(
             eid, quick, tracing, profiling, audit_level, traceparent
@@ -410,7 +403,8 @@ def _run_supervised(
     audit_level: str = "off",
     on_result: Optional[Callable[[Any, Any], None]] = None,
 ):
-    """Run ``ids`` under the resilience supervisor.
+    """Run ``ids`` under the resilience supervisor (in this process when
+    ``jobs <= 1``, over a worker pool otherwise).
 
     Returns ``({experiment_id: (result, telemetry)}, SupervisorReport)``;
     results cover every task that succeeded (possibly after retries), the
@@ -445,32 +439,30 @@ def _run_supervised(
     return by_id, report
 
 
-def _resilient_run(
+def _execute(
     args: argparse.Namespace,
     ids: List[str],
     tracing: bool,
     run_id: str,
     plan: Optional[Any],
 ):
-    """The checkpoint-aware, supervised execution path behind the
-    resilience flags.
+    """Run ``ids`` for ``repro run``: the one execution path of every run.
+
+    Every experiment goes through :func:`_run_supervised` under the
+    :class:`~repro.resilience.supervisor.RetryPolicy` the flags describe
+    (with none set, the default policy).  ``--checkpoint``/``--resume``
+    add the journal: resumed hits are skipped, each completed experiment
+    is appended as it finishes.
 
     Returns ``(results, telemetry, task_failures, budget, checkpoint_info)``.
     ``results`` is ``None`` when any experiment ultimately failed —
     ``task_failures`` then carries one :class:`~repro.resilience.supervisor.
-    TaskFailure` per casualty.  ``checkpoint_info`` is the manifest block
+    TaskFailure` per casualty, while ``telemetry`` still covers every
+    experiment that finished.  ``checkpoint_info`` is the manifest block
     (path / hits / appended / corrupt_skipped) or ``None`` when the run is
     not journaling.  ``KeyboardInterrupt`` propagates to the caller with
     every already-journaled record safely fsynced.
     """
-    from ..errors import TransientFault
-    from ..resilience.checkpoint import (
-        CheckpointJournal,
-        journal_path,
-        load_resume_state,
-        result_to_record,
-        task_fingerprint,
-    )
     from ..resilience.supervisor import RetryPolicy
 
     checkpointing = args.checkpoint or args.resume is not None
@@ -479,28 +471,49 @@ def _resilient_run(
         timeout_s=args.task_timeout,
         seed=plan.seed if plan is not None else 0,
     )
-    jpath = journal_path(args.results_dir, run_id)
-    fingerprints = {eid: task_fingerprint(eid, args.quick) for eid in ids}
     completed: Dict[str, ExperimentResult] = {}
     hits = 0
     corrupt_skipped = 0
-    if args.resume is not None:
-        state = load_resume_state(jpath)
-        corrupt_skipped = state.corrupt
-        for eid in ids:
-            restored = state.hit(eid, fingerprints[eid])
-            if restored is not None:
-                completed[eid] = restored
-        hits = len(completed)
-        line = (
-            f"resume {run_id}: {hits} checkpoint hit(s), "
-            f"{len(ids) - hits} experiment(s) to run"
+    journal = None
+    on_result = None
+    if checkpointing:
+        from ..resilience.checkpoint import (
+            CheckpointJournal,
+            journal_path,
+            load_resume_state,
+            result_to_record,
+            task_fingerprint,
         )
-        if corrupt_skipped:
-            line += f", {corrupt_skipped} corrupt record(s) skipped"
-        print(line, file=sys.stderr)
+
+        jpath = journal_path(args.results_dir, run_id)
+        fingerprints = {eid: task_fingerprint(eid, args.quick) for eid in ids}
+        if args.resume is not None:
+            state = load_resume_state(jpath)
+            corrupt_skipped = state.corrupt
+            for eid in ids:
+                restored = state.hit(eid, fingerprints[eid])
+                if restored is not None:
+                    completed[eid] = restored
+            hits = len(completed)
+            line = (
+                f"resume {run_id}: {hits} checkpoint hit(s), "
+                f"{len(ids) - hits} experiment(s) to run"
+            )
+            if corrupt_skipped:
+                line += f", {corrupt_skipped} corrupt record(s) skipped"
+            print(line, file=sys.stderr)
+        journal = CheckpointJournal(jpath)
+
+        def on_result(task, value):
+            corrupt = plan is not None and plan.should_corrupt_checkpoint(
+                task.index
+            )
+            journal.append(
+                result_to_record(task.key, fingerprints[task.key], value[0]),
+                corrupt=corrupt,
+            )
+
     pending = [eid for eid in ids if eid not in completed]
-    journal = CheckpointJournal(jpath) if checkpointing else None
     obs_log.info(
         "run.resilience",
         run_id=run_id, checkpoint=checkpointing, resume=args.resume,
@@ -508,74 +521,25 @@ def _resilient_run(
         max_retries=policy.max_retries,
         faults=plan.spec if plan is not None else None,
     )
-
-    def journal_result(index: int, eid: str, result: ExperimentResult) -> None:
-        if journal is None:
-            return
-        corrupt = plan is not None and plan.should_corrupt_checkpoint(index)
-        journal.append(
-            result_to_record(eid, fingerprints[eid], result), corrupt=corrupt
-        )
-
-    telemetry_parts: Dict[str, RunTelemetry] = {}
-    failures: List[Any] = []
-    budget = None
-    if pending and args.jobs > 1:
-        def on_result(task, value):
-            journal_result(task.index, task.key, value[0])
-
-        by_id, report = _run_supervised(
-            pending, quick=args.quick, tracing=tracing, profiling=args.profile,
-            jobs=args.jobs, policy=policy, fault_spec=args.inject_faults,
-            audit_level=args.audit, on_result=on_result,
-        )
-        failures = list(report.failures)
-        budget = report.budget
-        for eid, (result, part) in by_id.items():
-            completed[eid] = result
-            telemetry_parts[eid] = part
-    elif pending:
-        # Serial, but still journaled and fault-injectable: transient
-        # faults retry with the same deterministic backoff schedule.
-        for index, eid in enumerate(pending):
-            payload = (
-                eid, args.quick, tracing, args.profile,
-                args.inject_faults, args.audit, os.getpid(),
-            )
-            attempt = 1
-            while True:
-                try:
-                    result, part = _supervised_task(payload, index, attempt)
-                    break
-                except TransientFault as err:
-                    if attempt > policy.max_retries:
-                        raise
-                    obs_log.warning(
-                        "supervisor.retry",
-                        task=eid, index=index, attempt=attempt,
-                        fault=type(err).__name__, error=str(err),
-                    )
-                    time.sleep(policy.backoff_s(index, attempt + 1))
-                    attempt += 1
-            completed[eid] = result
-            telemetry_parts[eid] = part
-            journal_result(index, eid, result)
-
+    by_id, report = _run_supervised(
+        pending, quick=args.quick, tracing=tracing, profiling=args.profile,
+        jobs=args.jobs, policy=policy, fault_spec=args.inject_faults,
+        audit_level=args.audit, on_result=on_result,
+    )
+    completed.update((eid, result) for eid, (result, _) in by_id.items())
+    telemetry = RunTelemetry.merge(
+        by_id[eid][1] for eid in pending if eid in by_id
+    )
     checkpoint_info = None
-    if checkpointing:
+    if journal is not None:
         checkpoint_info = {
             "path": str(jpath),
             "hits": hits,
-            "appended": journal.appended if journal is not None else 0,
+            "appended": journal.appended,
             "corrupt_skipped": corrupt_skipped,
         }
-    if failures:
-        return None, RunTelemetry(), failures, budget, checkpoint_info
-    results = [completed[eid] for eid in ids]
-    telemetry = RunTelemetry.merge(
-        telemetry_parts[eid] for eid in ids if eid in telemetry_parts
-    )
-    return results, telemetry, failures, budget, checkpoint_info
+    results = None if report.failures else [completed[eid] for eid in ids]
+    return results, telemetry, report.failures, report.budget, checkpoint_info
 
 
 def harness_metrics(
@@ -776,6 +740,16 @@ def run(args: argparse.Namespace) -> int:
             raise KeyError(
                 f"unknown experiment {eid!r}; known: {sorted(EXPERIMENTS)}"
             )
+    for bad, message in (  # like a bad --inject-faults spec: exit 2, no work
+        (args.jobs < 1, f"--jobs must be at least 1, got {args.jobs}"),
+        (args.task_timeout is not None and not args.task_timeout > 0,
+         f"--task-timeout must be positive, got {args.task_timeout}"),
+        (args.max_retries is not None and args.max_retries < 0,
+         f"--max-retries must be at least 0, got {args.max_retries}"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     tracing = args.trace is not None
     _install_sigterm_handler()
     if args.store:
@@ -792,13 +766,6 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: {err}", file=sys.stderr)
             return 2
         os.environ["REPRO_STORE_DIR"] = store_dir
-    resilient = (
-        args.checkpoint
-        or args.resume is not None
-        or args.task_timeout is not None
-        or args.max_retries is not None
-        or args.inject_faults is not None
-    )
     plan = None
     if args.inject_faults is not None:
         from ..resilience.faults import FaultPlan
@@ -870,33 +837,20 @@ def run(args: argparse.Namespace) -> int:
     checkpoint_info = None
     try:
         try:
-            if resilient:
-                resilient_results, telemetry, task_failures, budget, checkpoint_info = (
-                    _resilient_run(args, ids, tracing, run_id, plan)
-                )
-                if task_failures:
-                    failures = len(task_failures)
-                    audit_fault_failures = sum(
-                        1 for f in task_failures if f.fault == "AuditFault"
-                    )
-                    exit_code = 1
-                    for failure in task_failures:
-                        print(
-                            f"error: experiment {failure.key} failed "
-                            f"[{failure.fault}] after {failure.attempts} "
-                            f"attempt(s): {failure.message}",
-                            file=sys.stderr,
-                        )
-                else:
-                    results = resilient_results
-            else:
-                results, telemetry = run_many_telemetry(
-                    ids,
-                    quick=args.quick,
-                    jobs=args.jobs,
-                    tracing=tracing,
-                    profiling=args.profile,
-                    audit_level=args.audit,
+            outcome, telemetry, task_failures, budget, checkpoint_info = (
+                _execute(args, ids, tracing, run_id, plan)
+            )
+            results = outcome or []
+            for failure in task_failures:
+                exit_code = 1
+                failures += 1
+                if failure.fault == "AuditFault":
+                    audit_fault_failures += 1
+                print(
+                    f"error: experiment {failure.key} failed "
+                    f"[{failure.fault}] after {failure.attempts} "
+                    f"attempt(s): {failure.message}",
+                    file=sys.stderr,
                 )
         except KeyboardInterrupt as interrupt:
             terminated = isinstance(interrupt, _Terminated)
@@ -911,18 +865,15 @@ def run(args: argparse.Namespace) -> int:
                 )
             else:
                 print(word, file=sys.stderr)
-        except Exception as err:  # an experiment raised: fail the run loudly
+        except Exception as err:
+            # Experiments' own errors are task failures above; this is the
+            # machinery around them (e.g. journal I/O): fail the run loudly.
             failures += 1
-            if isinstance(err, AuditFault):
-                audit_fault_failures += 1
             exit_code = 1
             obs_log.error("run.experiment_error", error=repr(err))
             from ..obs.flight.recorder import maybe_dump
 
-            maybe_dump(
-                "audit-fault" if isinstance(err, AuditFault) else "exception",
-                {"error": repr(err)},
-            )
+            maybe_dump("exception", {"error": repr(err)})
             print(f"error: experiment run failed: {err!r}", file=sys.stderr)
         for result in results:
             obs_log.console(result.render())

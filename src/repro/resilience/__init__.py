@@ -8,10 +8,10 @@ Four pieces, designed so a hung worker, an OOM'd process or a mid-run
 - :mod:`repro.resilience.checkpoint` — the ``results/<run_id>/
   checkpoint.jsonl`` journal of completed experiment results keyed by
   ``(experiment, config-fingerprint)``, powering ``repro run --resume``;
-- :mod:`repro.resilience.supervisor` — the worker-supervision engine
-  behind ``--jobs``: per-task wall-clock timeouts, seeded exponential
-  backoff retries, pool respawn after crashes, graceful degradation to
-  serial execution, all accounted in an error budget;
+- :mod:`repro.resilience.supervisor` — the supervision engine every
+  ``repro run`` goes through: per-task wall-clock timeouts, seeded
+  exponential backoff retries, pool respawn after crashes, graceful
+  degradation to serial execution, all accounted in an error budget;
 - :mod:`repro.resilience.faults` — deterministic, seeded fault injection
   (``--inject-faults``) spanning worker crashes/hangs, transient and
   permanent exceptions, DRAM response drops, SRAM latency/capacity flips

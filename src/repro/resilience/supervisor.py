@@ -1,8 +1,8 @@
 """Worker supervision: timeouts, retries with backoff, pool respawn, degrade.
 
-The harness used to fan experiments over a bare ``ProcessPoolExecutor``
-and call ``future.result()`` in order — one hung or OOM-killed worker
-voided the whole sweep.  :class:`Supervisor` replaces that submit loop:
+:class:`Supervisor` runs a list of tasks through one function — in this
+process when ``jobs == 1``, over a ``ProcessPoolExecutor`` otherwise — so
+that no single hung, crashed or failing task voids the rest:
 
 - **wall-clock timeouts** — each task gets ``timeout_s`` from the moment
   it is handed to the pool; a task that blows its deadline has its pool
@@ -152,10 +152,13 @@ class _PoolDied(Exception):
 class Supervisor:
     """Runs :class:`TaskSpec` s through ``fn`` under a retry/timeout policy.
 
-    ``fn(payload, index, attempt)`` must be picklable (module-level) when
-    ``jobs > 1``; it runs in a pool worker or, after degradation, in this
-    process.  ``on_result(task, result)`` fires in the supervising process
-    as each task completes — the runner uses it to journal checkpoints.
+    With ``jobs == 1``, ``fn(payload, index, attempt)`` runs in this
+    process, one task at a time, with the same retry backoff (timeouts are
+    not enforced there: nothing can preempt an in-process task).  With
+    ``jobs > 1`` it runs in pool workers, so it must be picklable
+    (module-level), and in this process only after degradation.
+    ``on_result(task, result)`` fires in the supervising process as each
+    task completes — the runner uses it to journal checkpoints.
     """
 
     #: Seconds between deadline sweeps while waiting on the pool.

@@ -26,7 +26,7 @@ def test_failing_experiment_exits_nonzero(monkeypatch, capsys):
     monkeypatch.setitem(EXPERIMENTS, "table2", explode)
     assert main(["table2"]) == 1
     captured = capsys.readouterr()
-    assert "experiment run failed" in captured.err
+    assert "error: experiment table2 failed [PermanentFault]" in captured.err
     assert "injected failure" in captured.err
 
 
@@ -39,13 +39,10 @@ def test_audit_failure_exits_nonzero(monkeypatch, tmp_path, capsys):
         dma_cycles=60.0, exposed_dma_cycles=55.0, macs=1000, utilization=0.5,
     )
 
-    def fake_run_many_telemetry(
-        ids, quick=False, jobs=1, tracing=False, profiling=False,
-        audit_level="off",
-    ):
-        return [], RunTelemetry(layers=[corrupt])
+    def fake_execute(args, ids, tracing, run_id, plan):
+        return [], RunTelemetry(layers=[corrupt]), [], None, None
 
-    monkeypatch.setattr(runner, "run_many_telemetry", fake_run_many_telemetry)
+    monkeypatch.setattr(runner, "_execute", fake_execute)
     assert main(["table2", "--trace", str(tmp_path / "trace.json")]) == 1
     assert "cycle-accounting audit failed" in capsys.readouterr().err
 
