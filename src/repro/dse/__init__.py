@@ -22,8 +22,9 @@ Robustness is the architecture, not a feature:
   ``--jobs 4`` crash/hang/flaky/corrupt-store run against a fault-free
   serial run);
 - the **persistent result store** (:mod:`repro.store`) as the simulation
-  tier underneath, and per-worker heartbeats surfaced through the
-  :class:`~repro.obs.flight.beacon.Beacon` / ``repro top`` console.
+  tier underneath, per-owner heartbeats read by ``repro dse status``, and
+  live progress on the :class:`~repro.obs.flight.beacon.Beacon` /
+  ``repro top`` console.
 
 Entry point: ``python -m repro dse sweep|status|replay`` (see
 :mod:`repro.dse.cli`), superseding the fixed-grid

@@ -25,10 +25,11 @@ replayable quarantine journal; its design point is excluded from the
 frontier and listed in the artifact.
 
 Worker supervision mirrors the PR-4 supervisor's policy at queue
-granularity: heartbeat-checked respawn with fresh owner identities (so a
-zombie's leases fence correctly), capped; past the cap the coordinator
-degrades to draining the queue serially in-process (with process-killing
-chaos disabled, as the supervisor does).
+granularity: workers that fail ``Process.is_alive()`` respawn with fresh
+owner identities (so a zombie's leases fence correctly), capped; past the
+cap — or from the start, in a serial sweep — the coordinator drains the
+queue itself through the workers' own :func:`~repro.dse.worker.run_pass`
+(with process-killing chaos disabled, as the supervisor does).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .frontier import (
 )
 from .queue import Task, WorkQueue
 from .space import PRESETS, DesignPoint, DesignSpace
-from .worker import worker_entry
+from .worker import _evaluate, run_pass, worker_entry
 
 __all__ = ["SWEEP_SCHEMA", "SweepConfig", "run_sweep", "sweep_status", "replay_quarantine"]
 
@@ -67,6 +68,8 @@ SWEEP_SCHEMA = 1
 _POLL_S = 0.1
 #: Respawns allowed per worker slot before degrading to serial.
 _RESPAWNS_PER_SLOT = 4
+#: The owner id the coordinator claims tasks and heartbeats under.
+_COORDINATOR = "coordinator"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -338,6 +341,7 @@ def run_sweep(cfg: SweepConfig) -> Dict[str, Any]:
     frontier: List[FrontierPoint] = []
     started = time.time()
     done_at_start = len(queue.load_results())
+    coordinator_done = 0
     try:
         for round_index in range(cfg.rounds):
             if round_index == 0:
@@ -361,9 +365,9 @@ def run_sweep(cfg: SweepConfig) -> Dict[str, Any]:
                 for p in seen.values()
                 for w in sorted(cfg.workloads)
             ]
-            _wait_for_round(
+            coordinator_done = _wait_for_round(
                 cfg, queue, quarantine, chaos, expected, pool, beacon,
-                round_index, started, done_at_start,
+                round_index, started, done_at_start, coordinator_done,
             )
             results = queue.load_results()
             parked = sorted(quarantine.load())
@@ -382,6 +386,7 @@ def run_sweep(cfg: SweepConfig) -> Dict[str, Any]:
     finally:
         if pool is not None:
             pool.stop(queue)
+    queue.heartbeat(_COORDINATOR, state="stopped", done=coordinator_done)
 
     results = queue.load_results()
     parked = sorted(quarantine.load())
@@ -437,20 +442,26 @@ def _wait_for_round(
     round_index: int,
     started: float,
     done_at_start: int,
-) -> None:
+    done: int,
+) -> int:
     """Block until every expected task has a result or is quarantined.
 
-    While waiting the coordinator is the health plane: it respawns dead
-    workers, parks poison tasks, and publishes progress/ETA to the beacon.
-    In serial mode (or after pool degradation) it also drains the queue
-    itself, one pass per loop iteration.
+    While waiting the coordinator is the health plane: it respawns workers
+    no longer alive, parks poison tasks, and publishes progress/ETA to the
+    beacon.  In serial mode (or after pool degradation) it also drains the
+    queue itself, one :func:`run_pass` per loop iteration.  Returns
+    ``done`` (the coordinator's completions so far) plus this round's.
     """
-    serial = pool is None
     while True:
-        if serial or (pool is not None and pool.degraded):
-            # Drain one pass in-process; process-killing chaos is fenced
-            # off by coordinator_pid inside ChaosPlan.apply.
-            _serial_pass(cfg, queue, chaos)
+        claimed = 0
+        if pool is None or pool.degraded:
+            # Process-killing chaos is fenced off by coordinator_pid
+            # inside ChaosPlan.apply.
+            _, claimed, completed = run_pass(
+                queue, _COORDINATOR, cfg.lease_ttl_s, cfg.max_task_failures,
+                chaos, done=done,
+            )
+            done += completed
         results = queue.load_results()
         parked = quarantine.load()
         pending = [
@@ -462,51 +473,12 @@ def _wait_for_round(
             started, done_at_start,
         )
         if not pending:
-            return
+            return done
         _park_poison(cfg, queue, quarantine, pending)
         if pool is not None:
             pool.reap_and_respawn()
-        if not serial and not (pool is not None and pool.degraded):
+        if not claimed:
             time.sleep(_POLL_S)
-
-
-def _serial_pass(
-    cfg: SweepConfig, queue: WorkQueue, chaos: Optional[ChaosPlan]
-) -> None:
-    """One claim-evaluate-journal pass over currently pending tasks,
-    in-process (serial mode and post-degradation fallback)."""
-    from ..errors import classify_error
-    from .worker import _evaluate, _quarantined_ids
-
-    tasks = queue.load_tasks()
-    results = queue.load_results()
-    parked = _quarantined_ids(queue.root)
-    owner = "coordinator"
-    failures = queue.load_failures()
-    for task_id in sorted(tasks):
-        if task_id in results or task_id in parked:
-            continue
-        if len(failures.get(task_id, [])) >= cfg.max_task_failures:
-            continue  # at the cap — the poison verdict decides its fate
-        lease = queue.claim(task_id, owner, cfg.lease_ttl_s)
-        if lease is None:
-            continue
-        attempt = len(queue.load_failures().get(task_id, [])) + 1
-        try:
-            if chaos is not None:
-                chaos.apply(queue, task_id, attempt, lease.generation)
-            queue.complete(task_id, _evaluate(tasks[task_id].payload))
-        except Exception as err:
-            kind = classify_error(err).__name__
-            queue.record_failure(
-                task_id, owner, attempt, kind=kind, error=str(err)
-            )
-            obs_log.warning(
-                "dse.task.failed",
-                task=task_id, attempt=attempt, kind=kind, error=str(err),
-            )
-        finally:
-            queue.release(task_id, owner)
 
 
 def _park_poison(
@@ -666,8 +638,6 @@ def replay_quarantine(out: str) -> List[Dict[str, Any]]:
     still fails is true poison — a model bug or a genuinely hostile
     configuration worth keeping parked.
     """
-    from .worker import _evaluate
-
     root = pathlib.Path(out)
     queue = WorkQueue(root)
     parked = QuarantineFile(root / "quarantine.jsonl").load()

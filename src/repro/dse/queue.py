@@ -17,8 +17,8 @@ stays readable:
   deterministic functions of the task);
 - ``failures.jsonl``         — one record per failed attempt (the
   coordinator's quarantine evidence);
-- ``workers/<id>.json``      — per-worker heartbeats (atomic replace),
-  read by the coordinator's liveness monitor and by ``repro top``;
+- ``workers/<id>.json``      — per-owner heartbeats (atomic replace, see
+  :meth:`WorkQueue.heartbeat`), read by ``repro dse status``;
 - ``STOP``                   — the shutdown sentinel workers poll.
 """
 
@@ -30,10 +30,15 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..obs import log as obs_log
-from ..resilience.atomic import atomic_write_text, crash_safe_append
+from ..resilience.atomic import (
+    JsonlReader,
+    atomic_write_text,
+    crash_safe_append,
+    json_object,
+)
 from ..resilience.lease import LeaseRecord, read_lease, release, renew, try_acquire
 
 __all__ = ["TASK_SCHEMA", "Task", "WorkQueue", "task_shard"]
@@ -43,6 +48,11 @@ TASK_SCHEMA = 1
 #: Result shards: first two hex digits of SHA-256(task id) — up to 256
 #: append files, so concurrent workers almost never serialize on one.
 _SHARD_HEX_DIGITS = 2
+
+#: Least seconds between two heartbeat writes of one owner in one state.
+#: Each write is an fsync'd replace; at one per task it would cost a
+#: serial sweep a write per evaluation.
+HEARTBEAT_INTERVAL_S = 1.0
 
 
 def task_shard(task_id: str) -> str:
@@ -88,6 +98,8 @@ class WorkQueue:
         self.workers_dir = self.root / "workers"
         self.failures_path = self.root / "failures.jsonl"
         self.stop_path = self.root / "STOP"
+        # owner -> (state, monotonic time) of its last heartbeat write.
+        self._beats: Dict[str, Tuple[str, float]] = {}
 
     def ensure_dirs(self) -> None:
         for directory in (
@@ -101,14 +113,10 @@ class WorkQueue:
 
     def load_tasks(self) -> Dict[str, Task]:
         """``{task_id: Task}`` — dedup by id (re-enqueue is idempotent)."""
-        tasks: Dict[str, Task] = {}
-        for doc in self._read_jsonl(self.tasks_path, schema=TASK_SCHEMA):
-            try:
-                task = Task.from_doc(doc)
-            except (KeyError, TypeError):
-                continue
-            tasks[task.task_id] = task
-        return tasks
+        return {
+            task.task_id: task
+            for task in self._read(self.tasks_path, Task.from_doc)
+        }
 
     # --------------------------------------------------------------- leases
     def lease_path(self, task_id: str) -> pathlib.Path:
@@ -168,8 +176,8 @@ class WorkQueue:
     def has_result(self, task_id: str) -> bool:
         """Whether ``task_id``'s result shard holds a readable result."""
         return any(
-            doc.get("task_id") == task_id and "result" in doc
-            for doc in self._read_jsonl(self.shard_path(task_id), schema=TASK_SCHEMA)
+            tid == task_id
+            for tid, _ in self._read(self.shard_path(task_id), _result_entry)
         )
 
     def load_results(self) -> Dict[str, Dict[str, Any]]:
@@ -177,14 +185,8 @@ class WorkQueue:
         wins; torn/corrupt lines (a crash mid-append, or injected
         corrupt-store faults) are skipped with a warning."""
         results: Dict[str, Dict[str, Any]] = {}
-        if not self.results_dir.exists():
-            return results
         for shard in sorted(self.results_dir.glob("shard-*.jsonl")):
-            for doc in self._read_jsonl(shard, schema=TASK_SCHEMA):
-                try:
-                    results[str(doc["task_id"])] = dict(doc["result"])
-                except (KeyError, TypeError):
-                    continue
+            results.update(self._read(shard, _result_entry))
         return results
 
     # ------------------------------------------------------------- failures
@@ -210,33 +212,37 @@ class WorkQueue:
 
     def load_failures(self) -> Dict[str, List[Dict[str, Any]]]:
         failures: Dict[str, List[Dict[str, Any]]] = {}
-        for doc in self._read_jsonl(self.failures_path, schema=TASK_SCHEMA):
-            try:
-                failures.setdefault(str(doc["task_id"]), []).append(dict(doc))
-            except (KeyError, TypeError):
-                continue
+        for task_id, doc in self._read(self.failures_path, _failure_entry):
+            failures.setdefault(task_id, []).append(doc)
         return failures
 
     # ----------------------------------------------------------- heartbeats
-    def heartbeat(
-        self, worker_id: str, **fields: Any
-    ) -> None:
+    def heartbeat(self, worker_id: str, state: str, **fields: Any) -> None:
+        """Atomically replace ``worker_id``'s heartbeat file.
+
+        A new ``state`` is written at once.  The same state again is
+        rewritten at most every :data:`HEARTBEAT_INTERVAL_S`, so a busy
+        owner's ``task`` and ``done`` may lag by up to that long.
+        """
+        now = time.monotonic()
+        last_state, last_at = self._beats.get(worker_id, (None, 0.0))
+        if state == last_state and now - last_at < HEARTBEAT_INTERVAL_S:
+            return
         doc = {"worker": worker_id, "pid": os.getpid(), "time": time.time()}
-        doc.update(fields)
+        doc.update(fields, state=state)
         atomic_write_text(
             self.workers_dir / f"{worker_id}.json",
             json.dumps(doc, sort_keys=True),
         )
+        self._beats[worker_id] = (state, now)
 
     def load_heartbeats(self) -> Dict[str, Dict[str, Any]]:
         beats: Dict[str, Dict[str, Any]] = {}
-        if not self.workers_dir.exists():
-            return beats
         for path in sorted(self.workers_dir.glob("*.json")):
             try:
-                doc = json.loads(path.read_text())
+                doc = json_object(path.read_text())
             except (OSError, ValueError):
-                continue  # torn write or vanished file — worker will rewrite
+                continue  # vanished or damaged file — its owner rewrites it
             beats[str(doc.get("worker", path.stem))] = doc
         return beats
 
@@ -254,21 +260,13 @@ class WorkQueue:
             pass
 
     # -------------------------------------------------------------- helpers
-    def _read_jsonl(self, path: pathlib.Path, schema: int):
-        if not path.exists():
-            return
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                if doc.get("schema") != schema:
-                    raise ValueError(f"unknown schema {doc.get('schema')!r}")
-            except (ValueError, TypeError, AttributeError) as err:
-                obs_log.warning(
-                    "dse.queue.corrupt_record",
-                    path=str(path), line=lineno, error=str(err),
-                )
-                continue
-            yield doc
+    def _read(self, path: pathlib.Path, parse) -> JsonlReader:
+        return JsonlReader(path, TASK_SCHEMA, "dse.queue.corrupt_record", parse)
+
+
+def _result_entry(doc: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    return str(doc["task_id"]), dict(doc["result"])
+
+
+def _failure_entry(doc: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    return str(doc["task_id"]), doc

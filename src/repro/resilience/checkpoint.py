@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..harness.report import ExperimentResult, Table
 from ..obs import log as obs_log
-from .atomic import crash_safe_append
+from .atomic import JsonlReader, crash_safe_append
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -132,6 +132,12 @@ def result_from_record(record: Dict[str, Any]) -> ExperimentResult:
     return result
 
 
+def _keyed_record(record: Dict[str, Any]) -> Tuple[Key, Dict[str, Any]]:
+    key = (record["experiment"], record["fingerprint"])
+    record["result"]["experiment_id"]  # shape check
+    return key, record
+
+
 def load_journal(path) -> Tuple[Dict[Key, Dict[str, Any]], int]:
     """Parse a checkpoint journal into ``{(experiment, fingerprint): record}``.
 
@@ -140,30 +146,10 @@ def load_journal(path) -> Tuple[Dict[Key, Dict[str, Any]], int]:
     the worst outcome of a bad record is recomputing one experiment.
     Returns ``(records, corrupt_count)``.
     """
-    path = pathlib.Path(path)
-    records: Dict[Key, Dict[str, Any]] = {}
-    corrupt = 0
-    if not path.exists():
-        return records, corrupt
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if record.get("schema") != CHECKPOINT_SCHEMA:
-                raise ValueError(f"unknown schema {record.get('schema')!r}")
-            key = (record["experiment"], record["fingerprint"])
-            record["result"]["experiment_id"]  # shape check
-        except (ValueError, KeyError, TypeError) as err:
-            corrupt += 1
-            obs_log.warning(
-                "checkpoint.corrupt_record",
-                path=str(path), line=lineno, error=str(err),
-            )
-            continue
-        records[key] = record
-    return records, corrupt
+    reader = JsonlReader(
+        path, CHECKPOINT_SCHEMA, "checkpoint.corrupt_record", _keyed_record
+    )
+    return dict(reader), reader.skipped
 
 
 class CheckpointJournal:

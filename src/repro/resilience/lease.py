@@ -36,7 +36,7 @@ import tempfile
 import time
 from typing import Optional
 
-from .atomic import atomic_write_text
+from .atomic import atomic_write_text, json_object
 
 __all__ = [
     "LEASE_SCHEMA",
@@ -76,7 +76,7 @@ class LeaseRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "LeaseRecord":
-        doc = json.loads(text)
+        doc = json_object(text)
         if doc.get("schema") != LEASE_SCHEMA:
             raise ValueError(f"unknown lease schema {doc.get('schema')!r}")
         return cls(
@@ -92,14 +92,9 @@ def read_lease(path) -> Optional[LeaseRecord]:
     writer died mid-replace; the temp+rename protocol makes that a missing
     file, but a hand-damaged record is treated as free too, with the same
     worst case: one duplicated idempotent evaluation)."""
-    path = pathlib.Path(path)
     try:
-        text = path.read_text()
-    except OSError:
-        return None
-    try:
-        return LeaseRecord.from_json(text)
-    except (ValueError, KeyError, TypeError):
+        return LeaseRecord.from_json(pathlib.Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 

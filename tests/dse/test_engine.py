@@ -86,6 +86,23 @@ def test_status_reads_a_finished_sweep_from_disk(reference):
     assert status["artifact"] is not None
 
 
+def test_serial_sweep_reports_the_coordinator_heartbeat(tmp_path):
+    out = tmp_path / "sweep"
+    run_sweep(_config(out))
+    status = sweep_status(str(out))
+    coordinator = status["workers"]["coordinator"]
+    assert coordinator["state"] == "stopped"
+    assert coordinator["done"] == status["results"] > 0
+
+
+def test_serial_sweep_dumps_every_failed_task(tmp_path):
+    out = tmp_path / "flaky"
+    run_sweep(_config(out, inject_faults="flaky,rate=1.0"))
+    failures = (out / "failures.jsonl").read_text().splitlines()
+    dumps = sorted(out.glob("flightrec-dse-task-failure-*.json"))
+    assert failures and len(dumps) == len(failures)
+
+
 def test_sweeps_are_deterministic_across_directories(reference, tmp_path):
     out, _ = reference
     again = tmp_path / "again"

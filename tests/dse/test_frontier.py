@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.dse.frontier import (
     FrontierJournal,
     FrontierPoint,
@@ -91,6 +93,16 @@ def test_journal_roundtrip_and_corrupt_line_skip(tmp_path):
     rounds = journal.load()
     assert [rec["round"] for rec in rounds] == [0, 1]
     assert rounds[1]["size"] == 2
+
+
+@pytest.mark.parametrize("bad", ["[1, 2]", "7", '"x"', "null"])
+def test_journal_skips_valid_json_that_is_not_a_record(tmp_path, bad):
+    journal = FrontierJournal(tmp_path / "frontier.jsonl")
+    journal.append_round(0, [_fp(64, 1.0, 1.0)])
+    with open(journal.path, "a") as handle:
+        handle.write(bad + "\n")
+    journal.append_round(1, [_fp(128, 2.0, 2.0)])
+    assert [rec["round"] for rec in journal.load()] == [0, 1]
 
 
 def test_journal_load_missing_file(tmp_path):

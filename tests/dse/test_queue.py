@@ -3,6 +3,9 @@
 import itertools
 import json
 
+import pytest
+
+from repro.dse import queue as queue_module
 from repro.dse.queue import Task, WorkQueue, task_shard
 
 
@@ -122,6 +125,34 @@ def test_heartbeats_are_atomic_and_readable(tmp_path):
     beats = queue.load_heartbeats()
     assert beats["w0.1"]["state"] == "idle" and beats["w0.1"]["done"] == 4
     assert "pid" in beats["w0.1"] and "time" in beats["w0.1"]
+
+
+def test_heartbeat_rewrites_an_unchanged_state_at_most_once_per_interval(
+    tmp_path, monkeypatch
+):
+    queue = _queue(tmp_path)
+    path = queue.workers_dir / "w0.1.json"
+    monkeypatch.setattr(queue_module, "HEARTBEAT_INTERVAL_S", 3600.0)
+    queue.heartbeat("w0.1", state="running", task="t/a", done=0)
+    first = path.read_bytes()
+    # Same state within the interval: the file is left alone.
+    queue.heartbeat("w0.1", state="running", task="t/b", done=1)
+    assert path.read_bytes() == first
+    # A state change is written at once.
+    queue.heartbeat("w0.1", state="idle", done=1)
+    assert queue.load_heartbeats()["w0.1"]["state"] == "idle"
+    # Once the interval has passed, the same state is rewritten.
+    monkeypatch.setattr(queue_module, "HEARTBEAT_INTERVAL_S", 0.0)
+    queue.heartbeat("w0.1", state="idle", done=2)
+    assert queue.load_heartbeats()["w0.1"]["done"] == 2
+
+
+@pytest.mark.parametrize("bad", ["[1, 2]", "7", '"x"', "null"])
+def test_load_heartbeats_skips_valid_json_that_is_not_a_record(tmp_path, bad):
+    queue = _queue(tmp_path)
+    (queue.workers_dir / "w0.1.json").write_text(bad)
+    queue.heartbeat("w1.1", state="idle", done=2)
+    assert list(queue.load_heartbeats()) == ["w1.1"]
 
 
 # --------------------------------------------------------------------- stop

@@ -1,10 +1,13 @@
 """Crash-safe filesystem primitives."""
 
+import json
 import os
 
 import pytest
 
+from repro.obs import log as obs_log
 from repro.resilience.atomic import (
+    JsonlReader,
     atomic_write_bytes,
     atomic_write_text,
     crash_safe_append,
@@ -55,3 +58,28 @@ def test_crash_safe_append_without_fsync(tmp_path):
     journal = tmp_path / "journal.jsonl"
     crash_safe_append(journal, "line", fsync=False)
     assert journal.read_text() == "line\n"
+
+
+def test_jsonl_reader_skips_counts_and_warns_on_every_bad_line(
+    tmp_path, monkeypatch
+):
+    captured = []
+    monkeypatch.setattr(obs_log.get_state(), "capture", captured)
+    path = tmp_path / "ledger.jsonl"
+    lines = [
+        json.dumps({"schema": 1, "n": 1}),
+        '{"schema": 1, "n": ',  # torn tail
+        "[1, 2]", "7", '"x"', "null",  # valid JSON, not an object
+        json.dumps({"schema": 2, "n": 2}),  # foreign schema
+        json.dumps({"schema": 1}),  # rejected by the parse
+        "",
+        json.dumps({"schema": 1, "n": 3}),
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    reader = JsonlReader(path, 1, "test.corrupt_record", lambda doc: doc["n"])
+    assert list(reader) == [1, 3]
+    assert reader.skipped == 7
+    warned = [r for r in captured if r["event"] == "test.corrupt_record"]
+    assert [r["line"] for r in warned] == [2, 3, 4, 5, 6, 7, 8]
+    assert list(reader) == [1, 3] and reader.skipped == 7  # re-iterable
+    assert list(JsonlReader(tmp_path / "absent.jsonl", 1, "x", dict)) == []

@@ -64,8 +64,10 @@ def test_corrupt_records_are_skipped_with_warning(tmp_path):
     with path.open("a") as handle:
         handle.write('{"schema": 1, "experiment": "fig4", "trunc\n')
         handle.write("not json at all\n")
+        for text in ("[1, 2]", "7", '"x"', "null"):  # valid JSON, not a record
+            handle.write(text + "\n")
     records, corrupt = load_journal(path)
-    assert corrupt == 2
+    assert corrupt == 6
     assert set(records) == {("table2", fp)}
 
 

@@ -72,6 +72,9 @@ def test_read_lease_tolerates_missing_and_garbage(tmp_path):
     assert read_lease(_path(tmp_path)) is None
     _path(tmp_path).write_text('{"schema": 99}')
     assert read_lease(_path(tmp_path)) is None
+    for text in ("[1, 2]", "7", '"x"', "null"):  # valid JSON, not a record
+        _path(tmp_path).write_text(text)
+        assert read_lease(_path(tmp_path)) is None
 
 
 def test_record_json_roundtrip():

@@ -4,7 +4,8 @@ The scripted acceptance check behind the DSE engine (``make dse-smoke``,
 CI's ``dse`` job):
 
 1. run a small smoke-preset sweep **serially, fault-free** to produce the
-   reference ``frontier.json``;
+   reference ``frontier.json``, and require ``dse status`` to show the
+   coordinator's heartbeat ``stopped`` with every task done by it;
 2. run the same sweep sharded (``--jobs 4``) under the full chaos
    campaign (``--inject-faults crash,hang,flaky,corrupt-store``), wait
    until results are flowing, then ``SIGKILL`` the coordinator's whole
@@ -82,6 +83,22 @@ def main() -> int:
                 f"{reference.stderr[-800:]}"
             )
         reference_bytes = (serial_out / "frontier.json").read_bytes()
+        status = _dse(["status", "--out", str(serial_out), "--json"])
+        if status.returncode != 0:
+            return fail(f"dse status failed: {status.stderr[-400:]}")
+        doc = json.loads(status.stdout)
+        coordinator = doc["workers"].get("coordinator", {})
+        if coordinator.get("state") != "stopped" or (
+            coordinator.get("done") != doc["tasks"]
+        ):
+            return fail(
+                "serial sweep's coordinator heartbeat should read stopped "
+                f"with done == {doc['tasks']} tasks; status workers: "
+                f"{doc['workers']}"
+            )
+        print(
+            f"      coordinator heartbeat: stopped, done {coordinator['done']}"
+        )
 
         print("[2/4] chaos sweep (--jobs 4), kill -9 mid-flight")
         proc = subprocess.Popen(

@@ -27,7 +27,11 @@ Gates, all hard failures:
 5. the daemon drains cleanly on SIGTERM (exit 0);
 6. ``repro store verify`` over the shared store exits 0.
 
-Run via ``make serve-chaos``.  Exit 0 = every gate held.
+Run via ``make serve-chaos``.  Exit 0 = every gate held.  On any failure
+the tool prints its evidence before exiting nonzero: the error that ended
+the campaign, the last supervisor status (workers alive, their pids,
+respawns, single-worker degradation), the daemon's captured output, and
+the newest flight-recorder dumps (the daemon runs with ``--flight``).
 """
 
 import asyncio
@@ -58,6 +62,8 @@ BREAKER_COOLDOWN_S = 2.0
 GOOD_SPECS = 6
 REPEATS_PER_SPEC = 5
 HOSTILE_ROUNDS = 6
+# How many of the newest flight dumps a failed campaign prints.
+FLIGHT_DUMPS_SHOWN = 8
 
 
 def good_query(i: int) -> dict:
@@ -75,17 +81,18 @@ POISON_QUERY = {"spec": {
 }}
 
 
-def wait_for_port(proc: subprocess.Popen, timeout_s: float = 30.0) -> int:
+def wait_for_port(
+    proc: subprocess.Popen, log_path: pathlib.Path, timeout_s: float = 30.0
+) -> int:
+    """Poll the daemon's captured output for its listen address."""
     deadline = time.monotonic() + timeout_s
-    assert proc.stdout is not None
     while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise SystemExit(f"serve exited early (rc={proc.poll()})")
-        sys.stdout.write(line)
-        match = re.search(r"http://[^:]+:(\d+)", line)
+        match = re.search(r"http://[^:]+:(\d+)", log_path.read_text())
         if match:
             return int(match.group(1))
+        if proc.poll() is not None:
+            raise SystemExit(f"serve exited early (rc={proc.returncode})")
+        time.sleep(0.05)
     raise SystemExit("serve never reported a listen address")
 
 
@@ -265,73 +272,131 @@ async def run_campaign(port: int, status_file: pathlib.Path) -> dict:
     return answered
 
 
+def campaign(
+    proc: subprocess.Popen,
+    log_path: pathlib.Path,
+    status_file: pathlib.Path,
+    store_dir: pathlib.Path,
+) -> None:
+    """Every gate in order; raises on the first that does not hold."""
+    port = wait_for_port(proc, log_path)
+    read_supervisor(
+        status_file, lambda e: e.get("workers_alive") == WORKERS
+    )
+    print(f"serve-chaos: fleet of {WORKERS} up on port {port}")
+
+    answered = asyncio.run(run_campaign(port, status_file))
+    print(f"serve-chaos: campaign done: {answered}")
+    expected = GOOD_SPECS * REPEATS_PER_SPEC
+    assert answered["good"] == expected, answered
+    assert (
+        answered["hostile_4xx"] + answered["hostile_closed"]
+        == HOSTILE_ROUNDS
+    ), answered
+
+    # The supervisor must have respawned the murdered (and any
+    # chaos-crashed) workers back to full strength.
+    extra = read_supervisor(
+        status_file,
+        lambda e: e.get("workers_alive") == WORKERS,
+        deadline_s=60.0,
+    )
+    assert extra["workers_target"] == WORKERS, extra
+    print(f"serve-chaos: supervisor restored {WORKERS} workers "
+          f"(pids {sorted(extra['worker_pids'])})")
+
+    asyncio.run(drive_breaker_trip(port))
+    asyncio.run(prove_half_open(port))
+
+    proc.send_signal(signal.SIGTERM)
+    rc = proc.wait(timeout=60)
+    sys.stdout.write(log_path.read_text())
+    assert rc == 0, f"supervisor exited {rc} on graceful shutdown"
+
+    verify = subprocess.run(
+        [sys.executable, "-m", "repro", "store", "verify", str(store_dir)],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True,
+    )
+    sys.stdout.write(verify.stdout)
+    if verify.returncode != 0:
+        sys.stdout.write(verify.stderr)
+        raise SystemExit(
+            f"store verify failed ({verify.returncode}) after the campaign"
+        )
+
+
+def report_failure(
+    err: BaseException,
+    proc: subprocess.Popen,
+    log_path: pathlib.Path,
+    status_file: pathlib.Path,
+    flight_dir: pathlib.Path,
+) -> None:
+    """Print the evidence a failed campaign leaves: the error, the last
+    supervisor status, the daemon's output and the newest flight dumps."""
+    print(f"serve-chaos: FAILED: {type(err).__name__}: {err}")
+    try:
+        doc = json.loads(status_file.read_text())
+    except (OSError, json.JSONDecodeError) as status_err:
+        print(f"serve-chaos: no supervisor status ({status_err})")
+    else:
+        extra = doc.get("extra", {})
+        print("serve-chaos: last supervisor status: " + json.dumps({
+            "workers_alive": extra.get("workers_alive"),
+            "worker_pids": extra.get("worker_pids"),
+            # The beacon files respawns under "supervisor", not "extra".
+            "respawns": doc.get("supervisor", {}).get("respawns"),
+            "degraded_single": extra.get("degraded_single"),
+        }))
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    print(f"serve-chaos: daemon output (rc={proc.returncode}):")
+    sys.stdout.write(log_path.read_text())
+    dumps = sorted(flight_dir.glob("flightrec-*.json"),
+                   key=lambda path: path.stat().st_mtime)[-FLIGHT_DUMPS_SHOWN:]
+    print(f"serve-chaos: newest flight dumps ({len(dumps)}):")
+    for path in dumps:
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as dump_err:
+            print(f"  {path.name}: unreadable ({dump_err})")
+            continue
+        print(f"  {path.name}: reason={doc.get('reason')} "
+              f"extra={json.dumps(doc.get('extra'), sort_keys=True)}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        store_dir = pathlib.Path(tmp) / "store"
-        status_file = pathlib.Path(tmp) / "supervisor.json"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", str(WORKERS), "--store", str(store_dir),
-             "--status-file", str(status_file),
-             "--inject-faults", FAULTS,
-             "--breaker-threshold", str(BREAKER_THRESHOLD),
-             "--breaker-cooldown", str(BREAKER_COOLDOWN_S),
-             "--no-watchdog"],
-            cwd=REPO,
-            env=dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1"),
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
+        tmp = pathlib.Path(tmp)
+        store_dir = tmp / "store"
+        status_file = tmp / "supervisor.json"
+        flight_dir = tmp / "flight"
+        log_path = tmp / "serve.log"
+        with open(log_path, "w") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--workers", str(WORKERS), "--store", str(store_dir),
+                 "--status-file", str(status_file),
+                 "--flight", str(flight_dir),
+                 "--inject-faults", FAULTS,
+                 "--breaker-threshold", str(BREAKER_THRESHOLD),
+                 "--breaker-cooldown", str(BREAKER_COOLDOWN_S),
+                 "--no-watchdog"],
+                cwd=REPO,
+                env=dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1"),
+                stdout=log, stderr=subprocess.STDOUT, text=True,
+            )
         try:
-            port = wait_for_port(proc)
-            read_supervisor(
-                status_file, lambda e: e.get("workers_alive") == WORKERS
-            )
-            print(f"serve-chaos: fleet of {WORKERS} up on port {port}")
-
-            answered = asyncio.run(run_campaign(port, status_file))
-            print(f"serve-chaos: campaign done: {answered}")
-            expected = GOOD_SPECS * REPEATS_PER_SPEC
-            assert answered["good"] == expected, answered
-            assert (
-                answered["hostile_4xx"] + answered["hostile_closed"]
-                == HOSTILE_ROUNDS
-            ), answered
-
-            # The supervisor must have respawned the murdered (and any
-            # chaos-crashed) workers back to full strength.
-            extra = read_supervisor(
-                status_file,
-                lambda e: e.get("workers_alive") == WORKERS,
-                deadline_s=60.0,
-            )
-            assert extra["workers_target"] == WORKERS, extra
-            print(f"serve-chaos: supervisor restored {WORKERS} workers "
-                  f"(pids {sorted(extra['worker_pids'])})")
-
-            asyncio.run(drive_breaker_trip(port))
-            asyncio.run(prove_half_open(port))
-
-            proc.send_signal(signal.SIGTERM)
-            rc = proc.wait(timeout=60)
-            tail = proc.stdout.read() if proc.stdout else ""
-            sys.stdout.write(tail)
-            assert rc == 0, f"supervisor exited {rc} on graceful shutdown"
+            campaign(proc, log_path, status_file, store_dir)
+        except BaseException as err:
+            report_failure(err, proc, log_path, status_file, flight_dir)
+            raise
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-
-        verify = subprocess.run(
-            [sys.executable, "-m", "repro", "store", "verify", str(store_dir)],
-            cwd=REPO, env=dict(os.environ, PYTHONPATH="src"),
-            capture_output=True, text=True,
-        )
-        sys.stdout.write(verify.stdout)
-        if verify.returncode != 0:
-            sys.stdout.write(verify.stderr)
-            raise SystemExit(
-                f"store verify failed ({verify.returncode}) after the campaign"
-            )
     print("serve-chaos: OK — every admitted request answered, fleet "
           "restored, breaker verdicts served, store verify clean")
     return 0
