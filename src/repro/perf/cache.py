@@ -237,12 +237,18 @@ class SimulationCache:
         The batched engine calls this when a probe missed the store but an
         identical job is already scheduled in the same batch: a per-layer
         loop would have stored the first job's value before looking the
-        second one up, so the faithful count is a hit.
+        second one up, so the faithful count is a hit.  The status beacon's
+        tiers move the same way; the probe's ``cache.probe`` instant stays.
         """
         self.misses -= 1
         self.hits += 1
+        tier = "exact"
         if canonical:
             self.canonical_hits += 1
+            tier = "canonical"
+        tiers = _beacon.get_beacon().cache
+        tiers["miss"] -= 1
+        tiers[tier] += 1
 
     def store(self, key: Tuple, value: Any, canonical_key: Optional[Tuple] = None) -> None:
         """Insert a computed value (no counter changes; no-op when disabled)."""

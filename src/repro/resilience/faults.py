@@ -38,10 +38,11 @@ of hoping production hits them first.  Faults come in three groups:
   be proven without planting a real model bug.
 - **Serve faults**: ``serve=conn-reset,slowloris,truncated-body,worker-crash
   [,rate=R,seed=N,poison=NAME]`` arms the serving plane's chaos campaign.
-  ``worker-crash`` makes a pre-forked serve *worker* ``os._exit`` at rate
-  ``R`` per handled request (only in supervised workers — a single-process
-  daemon ignores it rather than committing suicide) and ``conn-reset``
-  aborts that fraction of accepted connections before reading the request.
+  ``worker-crash`` makes a supervised serve *worker* ``os._exit`` at rate
+  ``R`` per handled request, whatever ``--workers N`` is (an in-process
+  test server has no supervisor to respawn it and ignores the mode);
+  ``conn-reset`` aborts that fraction of accepted connections before
+  reading the request.
   ``slowloris`` and ``truncated-body`` are *client-side* behaviors: the
   campaign driver (``tools/serve_chaos.py``) reads the same plan and plays
   them against the daemon, so one spec string seeds both ends

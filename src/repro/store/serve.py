@@ -46,11 +46,11 @@ And for everything the fault injector can throw at it (DESIGN.md §4l):
 - **protocol hardening** — slowloris headers, truncated or oversized
   bodies and garbage JSON each get a clean 4xx/408 within a bounded
   time, never a hung connection or a dead worker;
-- **multi-worker supervision** — ``--workers N`` pre-forks request
-  workers behind a supervising parent that owns the listener socket
-  (:mod:`repro.store.workers`): heartbeat liveness, seeded
-  exponential-backoff respawn, crash-budget degradation to a single
-  worker rather than death.
+- **supervised workers** — every daemon forks its ``--workers N``
+  (default 1) request workers behind a supervising parent that owns the
+  listener socket (:mod:`repro.store.workers`): heartbeat liveness,
+  seeded exponential-backoff respawn, crash-budget degradation to a
+  single worker rather than death.
 
 Endpoints: ``GET /healthz`` (liveness: the process is up), ``GET
 /readyz`` (readiness: 503 while draining or degraded past ``serial``),
@@ -179,7 +179,7 @@ class ServeConfig:
     max_batch: int = 64
     #: Persistent store directory ("" = serve from memo only).
     store_dir: str = ""
-    #: Pre-forked request workers (1 = single process, no fork).
+    #: Request workers the supervisor forks (1 = one supervised worker).
     workers: int = 1
     #: Deadline applied when no ``X-Repro-Deadline-Ms`` header arrives.
     default_deadline_ms: float = 30_000.0
@@ -388,7 +388,6 @@ class SimulationService:
             maxlen=self.config.slo_window
         )
         self._rung_changed_at = time.monotonic()
-        self.simulations = 0  # queries that reached the engine (post-dedup)
 
     # ----------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -421,6 +420,13 @@ class SimulationService:
     @property
     def rung_name(self) -> str:
         return LADDER_RUNGS[self.rung]
+
+    @property
+    def simulations(self) -> int:
+        """Fresh engine simulations so far (``repro_serve_simulations_total``)."""
+        return int(
+            self.registry.counters.get("repro_serve_simulations_total", 0.0)
+        )
 
     # ----------------------------------------------------- degradation ladder
     def set_rung(self, rung: int, reason: str) -> None:
@@ -689,113 +695,96 @@ class SimulationService:
         except OSError as err:  # forensics must never take down serving
             obs_log.warning("serve.quarantine_write_failed", error=str(err))
 
-    async def _price_serially(
-        self, queries: List[Query], group_size, layout
-    ) -> None:
-        """Price one spec at a time: exact attribution, no blast radius.
-
-        Used on the ``serial`` rung and as the fallback when a *batched*
-        pricing call fails — the serial replay separates the poison spec
-        (charged to its breaker) from innocent co-batched neighbors
-        (answered normally), the same verdict discipline the DSE plane's
-        quarantine replay uses.
-        """
-        loop = asyncio.get_running_loop()
-        for query in queries:
-            sim = self._sim_for(query)
-            misses_before = SIM_CACHE.misses
-
-            def _price_one(query=query, sim=sim):
-                self._check_poison([query.spec])
-                return sim.simulate_conv(
-                    query.spec, group_size=query.group_size, layout=layout
-                )
-
-            try:
-                result = await loop.run_in_executor(None, _price_one)
-            except Exception as err:
-                self._fail(query, err)
-                obs_log.error(
-                    "serve.query_failed",
-                    spec=query.spec.describe(), fingerprint=query.fingerprint,
-                    error=str(err),
-                )
-            else:
-                self.simulations += SIM_CACHE.misses - misses_before
-                self._settle(query, result)
-
     async def _price_batch(self, batch: List[Query]) -> None:
-        # Group by (config, group_size mode, layout): one engine call each.
+        # Group by (config, group_size mode, layout): one engine call each,
+        # or one per query on the serial rung (exact attribution, no batch
+        # blast radius).
         groups: Dict[Tuple, List[Query]] = {}
         for query in batch:
             group = (query.key[1], query.group_size, query.layout)
             groups.setdefault(group, []).append(query)
+        for queries in groups.values():
+            if self.rung >= RUNG_SERIAL:
+                for query in queries:
+                    await self._price_group([query])
+            else:
+                await self._price_group(queries)
+            self._after_group()
+
+    async def _price_group(self, queries: List[Query]) -> None:
+        """Price queries sharing one (config, group_size mode, layout).
+
+        The only code that prices queries: one ``simulate_conv_batch`` call
+        under the batch's trace context, counted in the batch series, then
+        settled.  A failed group of several queries is replayed one query
+        at a time, so the poison spec is charged to its breaker and its
+        co-batched innocents are answered (the verdict discipline of the
+        DSE plane's quarantine replay); a failed single query fails alone.
+        """
+        first = queries[0]
+        sim = self._sim_for(first)
+        specs = [q.spec for q in queries]
+        # The batch span parents under the first traced query's request;
+        # other members' trace ids ride along as link args so their
+        # trees point at the shared computation.
+        parent = next((q.ctx for q in queries if q.ctx is not None), None)
+        batch_ctx = parent.child() if parent is not None else None
+        links = [
+            q.ctx.trace_id
+            for q in queries
+            if q.ctx is not None and q.ctx is not parent
+        ]
+
+        def _price():
+            # run_in_executor does not propagate contextvars: re-activate
+            # the batch node so engine spans/cache probes join its tree.
+            with trace_context.activate(batch_ctx):
+                self._check_poison(specs)
+                return sim.simulate_conv_batch(
+                    specs, group_size=first.group_size, layout=first.layout
+                )
 
         loop = asyncio.get_running_loop()
-        for (_, group_size, layout), queries in groups.items():
-            if self.rung >= RUNG_SERIAL:
-                await self._price_serially(queries, group_size, layout)
-                self._after_group()
-                continue
-            sim = self._sim_for(queries[0])
-            specs = [q.spec for q in queries]
-            started = time.perf_counter()
-            misses_before = SIM_CACHE.misses
-            # The batch span parents under the first traced query's request;
-            # other members' trace ids ride along as link args so their
-            # trees point at the shared computation.
-            parent = next((q.ctx for q in queries if q.ctx is not None), None)
-            batch_ctx = parent.child() if parent is not None else None
-            links = [
-                q.ctx.trace_id
-                for q in queries
-                if q.ctx is not None and q.ctx is not parent
-            ]
-
-            def _price(ctx=batch_ctx, sim=sim, specs=specs,
-                       group_size=group_size, layout=layout):
-                # run_in_executor does not propagate contextvars: re-activate
-                # the batch node so engine spans/cache probes join its tree.
-                with trace_context.activate(ctx):
-                    self._check_poison(specs)
-                    return sim.simulate_conv_batch(
-                        specs, group_size=group_size, layout=layout
-                    )
-
-            try:
-                if batch_ctx is not None:
-                    with trace_context.activate_root(batch_ctx):
-                        with trace.span(
-                            "serve.batch", cat="serve",
-                            queries=len(queries),
-                            linked_traces=",".join(links),
-                        ):
-                            results = await loop.run_in_executor(None, _price)
-                else:
-                    results = await loop.run_in_executor(None, _price)
-            except Exception as err:
-                # Batched pricing failed: replay serially so the culprit is
-                # charged to its breaker and innocents still get answers.
-                obs_log.warning(
-                    "serve.batch_failed_serial_replay",
-                    error=str(err), queries=len(queries),
+        started = time.perf_counter()
+        misses_before = SIM_CACHE.misses
+        try:
+            if batch_ctx is not None:
+                with trace_context.activate_root(batch_ctx):
+                    with trace.span(
+                        "serve.batch", cat="serve",
+                        queries=len(queries),
+                        linked_traces=",".join(links),
+                    ):
+                        results = await loop.run_in_executor(None, _price)
+            else:
+                results = await loop.run_in_executor(None, _price)
+        except Exception as err:
+            if len(queries) == 1:
+                self._fail(first, err)
+                obs_log.error(
+                    "serve.query_failed",
+                    spec=first.spec.describe(), fingerprint=first.fingerprint,
+                    error=str(err),
                 )
-                await self._price_serially(queries, group_size, layout)
-                self._after_group()
-                continue
-            elapsed = time.perf_counter() - started
-            # "Simulations" = fresh engine work, not queries priced: a query
-            # answered from the memo or the persistent store is not one.
-            performed = SIM_CACHE.misses - misses_before
-            self.simulations += performed
-            self.registry.inc_counter("repro_serve_batches_total")
-            self.registry.inc_counter(
-                "repro_serve_simulations_total", float(performed)
+                return
+            obs_log.warning(
+                "serve.batch_failed_serial_replay",
+                error=str(err), queries=len(queries),
             )
-            self.registry.observe("repro_serve_batch_seconds", elapsed)
-            for query, result in zip(queries, results):
-                self._settle(query, result)
-            self._after_group()
+            for query in queries:
+                await self._price_group([query])
+            return
+        elapsed = time.perf_counter() - started
+        # "Simulations" = fresh engine work, not queries priced: a query
+        # answered from the memo or the persistent store is not one.
+        performed = SIM_CACHE.misses - misses_before
+        self.registry.inc_counter("repro_serve_batches_total")
+        self.registry.inc_counter(
+            "repro_serve_simulations_total", float(performed)
+        )
+        self.registry.observe("repro_serve_batch_seconds", elapsed)
+        for query, result in zip(queries, results):
+            self._settle(query, result)
 
     def _after_group(self) -> None:
         beacon = flight_beacon.get_beacon()
@@ -824,8 +813,8 @@ class ReproServer:
     ) -> None:
         self.service = service
         self.run_id = run_id
-        #: Set in pre-forked workers; arms the worker-crash chaos mode and
-        #: labels ``/statusz``.  ``None`` = single-process daemon.
+        #: Set in every supervised worker; arms the worker-crash chaos mode
+        #: and labels ``/statusz``.  ``None`` = an in-process server (tests).
         self.worker_index = worker_index
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_seq = 0
@@ -1427,8 +1416,8 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=defaults.port,
                         help=f"listen port (default {defaults.port}; 0 = ephemeral)")
     parser.add_argument("--workers", type=int, default=defaults.workers,
-                        help="pre-forked request workers behind a supervising "
-                             "parent (default 1 = single process)")
+                        help="request workers forked behind a supervising "
+                             "parent that owns the socket (default 1)")
     parser.add_argument("--store", default="", metavar="DIR",
                         help="persistent result store to warm-start from / write through to")
     parser.add_argument("--max-pending", type=int, default=defaults.max_pending,
@@ -1463,13 +1452,14 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
                         help="run id stamped on responses/logs (default: generated)")
     parser.add_argument("--trace", default=None, metavar="PATH", nargs="?",
                         const="serve-trace.json",
-                        help="record request span trees; Chrome export written "
-                             "to PATH on drain (default serve-trace.json)")
+                        help="record request span trees; worker i writes its "
+                             "Chrome export to PATH.w<i> on drain (default "
+                             "serve-trace.json)")
     parser.add_argument("--status-file", default=None, metavar="PATH",
-                        help="mirror the live beacon snapshot to this file "
-                             "(readable by 'repro top --status-file'; with "
-                             "--workers N the supervisor writes it and worker "
-                             "i writes PATH.w<i>)")
+                        help="mirror live beacon snapshots for 'repro top "
+                             "--status-file': the supervisor writes PATH "
+                             "(workers, respawns), worker i writes PATH.w<i> "
+                             "(requests, cache, rung)")
     parser.add_argument("--flight", default=None, metavar="DIR",
                         help="enable the flight recorder; dumps land in DIR "
                              "on faults or SIGUSR1")
@@ -1480,7 +1470,7 @@ def _config_from_args(args, store_dir: str) -> ServeConfig:
     return ServeConfig(
         host=args.host, port=args.port, max_pending=args.max_pending,
         batch_window_s=args.batch_window, max_batch=args.max_batch,
-        store_dir=store_dir, workers=max(1, args.workers),
+        store_dir=store_dir, workers=args.workers,
         default_deadline_ms=args.default_deadline_ms,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
@@ -1490,19 +1480,16 @@ def _config_from_args(args, store_dir: str) -> ServeConfig:
     )
 
 
-def configure_worker_observability(
-    args, run_id: str, worker_index: Optional[int] = None
-) -> None:
-    """Wire logging / beacon / flight recorder / tracing for one process.
+def configure_worker_observability(args, run_id: str, worker_index: int) -> None:
+    """Wire logging / beacon / flight recorder / tracing for one worker.
 
-    Shared by the single-process daemon and every pre-forked worker (each
-    worker gets its own beacon file suffix).  The fault plan is activated
-    once by :func:`serve`, so every forked worker inherits the same
-    seeded plan.
+    Worker ``i`` mirrors its beacon to ``--status-file`` + ``.w<i>``; the
+    supervisor owns the bare path.  The fault plan is activated once by
+    :func:`serve`, so every forked worker inherits the same seeded plan.
     """
-    status_path = args.status_file
-    if status_path and worker_index is not None:
-        status_path = f"{status_path}.w{worker_index}"
+    status_path = (
+        f"{args.status_file}.w{worker_index}" if args.status_file else None
+    )
     obs_log.configure(level=None, log_file=args.log_file, run_id=run_id)
     flight_beacon.configure_beacon(
         role="serve", run_id=run_id, status_path=status_path
@@ -1518,45 +1505,34 @@ def configure_worker_observability(
 async def run_server(
     config: ServeConfig,
     run_id: str,
-    sock=None,
-    worker_index: Optional[int] = None,
-    announce: bool = True,
-    heartbeat=None,
+    sock,
+    worker_index: int,
+    heartbeat,
     trace_path: Optional[str] = None,
 ) -> None:
-    """One serving process's main loop: listen, handle, drain on signal.
+    """One supervised worker's main loop: serve, heartbeat, drain on signal.
 
-    ``sock`` is the supervisor-owned listener in pre-forked workers;
-    ``heartbeat`` an optional zero-arg callable invoked about once a
-    second so the supervisor can tell a live worker from a hung one.
+    ``sock`` is the supervisor-owned listener every worker accepts from;
+    ``heartbeat`` a zero-arg callable invoked about once a second so the
+    supervisor can tell a live worker from a hung one.  With
+    ``trace_path`` the worker writes its Chrome trace there on drain.
     """
     service = SimulationService(config)
     server = ReproServer(service, run_id=run_id, worker_index=worker_index)
-    host, port = await server.start(sock=sock)
-    if announce:
-        print(f"serve: listening on http://{host}:{port} "
-              f"(max_pending={config.max_pending}, max_batch={config.max_batch}, "
-              f"workers={config.workers}, run={run_id})",
-              flush=True)
+    await server.start(sock=sock)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
+        loop.add_signal_handler(sig, stop.set)
 
-    beat_task: Optional[asyncio.Task] = None
-    if heartbeat is not None:
-        async def _beat() -> None:
-            while True:
-                heartbeat()
-                await asyncio.sleep(1.0)
+    async def _beat() -> None:
+        while True:
+            heartbeat()
+            await asyncio.sleep(1.0)
 
-        beat_task = asyncio.create_task(_beat())
+    beat_task = asyncio.create_task(_beat())
     await stop.wait()
-    if beat_task is not None:
-        beat_task.cancel()
+    beat_task.cancel()
     await server.shutdown()
     budget = service.budget
     print(f"serve: drained; served {budget.succeeded}/{budget.tasks} "
@@ -1572,11 +1548,25 @@ async def run_server(
 
 
 def serve(args: argparse.Namespace) -> int:
-    """Run the daemon until SIGINT/SIGTERM, then drain gracefully."""
+    """Run the supervised daemon until SIGINT/SIGTERM, then drain gracefully."""
     from . import attach, resolve_store_dir
+    from .workers import supervise
 
     # Refused here, before the listener opens or any worker forks: a
     # worker can only die of a bad setting, and the supervisor respawns it.
+    for bad, message in (  # each leaves a daemon that answers nothing
+        (args.workers < 1, f"--workers must be at least 1, got {args.workers}"),
+        (args.max_batch < 1,
+         f"--max-batch must be at least 1, got {args.max_batch}"),
+        (args.max_pending < 1,
+         f"--max-pending must be at least 1, got {args.max_pending}"),
+        (not args.default_deadline_ms > 0,
+         f"--default-deadline-ms must be positive, "
+         f"got {args.default_deadline_ms}"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     try:
         store_dir = resolve_store_dir(args.store) or ""
     except ConfigError as err:
@@ -1591,22 +1581,15 @@ def serve(args: argparse.Namespace) -> int:
             print(f"error: bad --inject-faults spec: {err}", file=sys.stderr)
             return 2
     config = _config_from_args(args, store_dir)
+    if config.store_dir:
+        store = attach(config.store_dir)  # every forked worker inherits it
+        print(f"serve: persistent store at {store.root} "
+              f"({len(store)} records)", flush=True)
     from ..obs.manifest import new_run_id
 
     # `repro --manifest`/`--log-file` already opened a run under this id.
     run_id = args.run_id or obs_log.get_state().run_id or new_run_id()
-    if config.workers > 1:
-        from .workers import supervise
-
-        return supervise(args, config, run_id)
-    configure_worker_observability(args, run_id)
-    if config.store_dir:
-        store = attach(config.store_dir)
-        print(f"serve: persistent store at {store.root} "
-              f"({len(store)} records)")
-    asyncio.run(run_server(config, run_id, trace_path=args.trace))
-    obs_log.shutdown()
-    return 0
+    return supervise(args, config, run_id)
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:

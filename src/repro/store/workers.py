@@ -1,10 +1,12 @@
-"""Pre-forked worker supervision for ``repro serve --workers N``.
+"""Worker supervision: the one process model of every ``repro serve``.
 
 Crash-only process model (DESIGN.md §4l): a supervising **parent** owns
 the listener socket and *never* touches a request; N forked **workers**
-inherit the socket and ``accept()`` from the shared queue, so the kernel
-load-balances connections and a worker can die at any instant without
-losing the listening endpoint.  The parent's only jobs are:
+(``--workers N``, default 1) inherit the socket and ``accept()`` from the
+shared queue, so the kernel load-balances connections and a worker can
+die at any instant without losing the listening endpoint.  The parent
+attaches the persistent store before the first fork, so every worker
+inherits it.  The parent's only jobs are:
 
 - **liveness**: each worker writes a byte down a heartbeat pipe about
   once a second; a worker silent past ``LIVENESS_TIMEOUT_S`` is presumed
@@ -80,11 +82,7 @@ def _worker_main(args, config, run_id, sock, heartbeat_fd, index) -> int:
 
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    configure_worker_observability(args, run_id, worker_index=index)
-    if config.store_dir:
-        from . import attach
-
-        attach(config.store_dir)
+    configure_worker_observability(args, run_id, index)
 
     def _beat() -> None:
         try:
@@ -94,12 +92,7 @@ def _worker_main(args, config, run_id, sock, heartbeat_fd, index) -> int:
             os.kill(os.getpid(), signal.SIGTERM)
 
     trace_path = f"{args.trace}.w{index}" if args.trace else None
-    asyncio.run(
-        run_server(
-            config, run_id, sock=sock, worker_index=index,
-            announce=False, heartbeat=_beat, trace_path=trace_path,
-        )
-    )
+    asyncio.run(run_server(config, run_id, sock, index, _beat, trace_path))
     obs_log.shutdown()
     return 0
 

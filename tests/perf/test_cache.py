@@ -168,3 +168,29 @@ def test_per_run_cache_stats_under_jobs():
     assert serial.cache.hits + serial.cache.misses > 0
     _, pooled = run_many_telemetry(["table1", "fig13"], quick=True, jobs=2)
     assert pooled.cache.hits + pooled.cache.misses > 0
+
+
+def test_beacon_cache_tiers_agree_with_the_memo_after_a_batch():
+    """A miss joined to a job already scheduled in the batch is a hit on
+    the status beacon too, not only in the memo."""
+    from repro.obs.flight import beacon as beacon_mod
+    from repro.perf.cache import clear_cache
+    from repro.store import detach
+    from repro.workloads.networks import network
+
+    detach()
+    clear_cache()
+    beacon = beacon_mod.reset_beacon()
+    try:
+        TPUSim().simulate_conv_batch(network("ResNet", 8))
+        stats = SIM_CACHE.stats
+        assert stats.hits > 0  # from an empty memo, every hit is such a join
+        assert beacon.cache == {
+            "exact": stats.exact_hits,
+            "canonical": stats.canonical_hits,
+            "persistent": stats.persistent_hits,
+            "miss": stats.misses,
+        }
+    finally:
+        clear_cache()
+        beacon_mod.reset_beacon()

@@ -1,8 +1,8 @@
 """``repro serve --log-level`` reaches the daemon's stderr.
 
 ``repro`` applies ``--log-level`` before it hands over to the daemon, which
-then re-wires its log sink per process; the threshold must survive that, in
-the single-process daemon and in every pre-forked worker.
+then re-wires its log sink per process; the threshold must survive that in
+every supervised worker, whether the daemon runs one worker or several.
 """
 
 import os

@@ -9,6 +9,7 @@ survival one rung at a time.
 """
 
 import asyncio
+import re
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.store.serve import (
     http_request_retry,
     slo_decision,
 )
+from repro.trace import tracer as trace
 
 SPEC = {"n": 1, "c_in": 16, "h_in": 7, "w_in": 7, "c_out": 16,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
@@ -341,6 +343,50 @@ def test_serial_rung_still_answers():
             await server.shutdown()
 
     asyncio.run(scenario())
+
+
+def _metric(text, name):
+    match = re.search(rf"^{name} (\S+)$", text, re.MULTILINE)
+    return float(match.group(1)) if match else None
+
+
+def test_serial_rung_is_counted_and_traced_like_a_batch():
+    """A serial-rung query is a batch of one: same series, same span tree."""
+
+    async def scenario():
+        service, server, host, port = await _boot()
+        try:
+            service.set_rung(RUNG_SERIAL, "test")
+            status, body, headers = await http_request(
+                host, port, "POST", "/v1/conv", {"spec": SPEC},
+                return_headers=True,
+            )
+            assert status == 200 and body["cycles"] > 0
+            _, doc = await http_request(host, port, "GET", "/statusz")
+            _, metrics = await http_request(host, port, "GET", "/metrics")
+        finally:
+            await server.shutdown()
+        return headers["x-repro-trace-id"], doc, metrics
+
+    trace.set_tracer(trace.Tracer())
+    trace.enable()
+    try:
+        trace_id, doc, metrics = asyncio.run(scenario())
+        events = trace.drain_events()
+    finally:
+        trace.set_tracer(trace.Tracer())
+    assert doc["serve"]["simulations"] == 1
+    assert _metric(metrics, "repro_serve_simulations_total") == 1
+    assert _metric(metrics, "repro_serve_batches_total") == 1
+    engine = [
+        e for e in events
+        if e.name == "cache.probe" or e.name.startswith("tpu.conv.")
+    ]
+    assert {"cache.probe", "tpu.conv.batch", "tpu.conv.layer"} <= {
+        e.name for e in engine
+    }
+    for event in engine:
+        assert dict(event.args).get("trace_id") == trace_id, event
 
 
 def test_store_only_rung_serves_warm_refuses_cold():

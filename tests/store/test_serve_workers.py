@@ -1,9 +1,11 @@
-"""Supervised multi-worker serving: fork, kill -9, respawn, drain.
+"""Supervised serving: fork, kill -9, respawn, drain.
 
-Boots the real ``repro serve --workers 2`` CLI in a subprocess, murders a
+Boots the real ``repro serve --workers N`` CLI in a subprocess (every
+daemon is supervised, the default single worker included), murders a
 worker with SIGKILL, and watches the supervising parent restore the
 fleet (via the supervisor status file), then drains the whole tree with
-SIGTERM and expects exit 0.
+SIGTERM and expects exit 0.  Settings that would leave a daemon answering
+nothing are refused before anything forks.
 """
 
 import asyncio
@@ -26,12 +28,12 @@ REPO = Path(__file__).resolve().parents[2]
 LISTEN_RE = re.compile(r"listening on http://[0-9.]+:(\d+)")
 
 
-def _launch(tmp_path, extra_args=()):
+def _launch(tmp_path, workers, extra_args=()):
     status_file = tmp_path / "beacon.json"
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--workers", "2", "--port", "0", "--no-watchdog",
+         "--workers", str(workers), "--port", "0", "--no-watchdog",
          "--status-file", str(status_file), *extra_args],
         cwd=tmp_path, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
@@ -85,14 +87,15 @@ def _shutdown(proc):
     return proc.returncode, out
 
 
-def test_worker_killed_with_sigkill_is_respawned(tmp_path):
-    proc, port, status_file = _launch(tmp_path)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_killed_with_sigkill_is_respawned(tmp_path, workers):
+    proc, port, status_file = _launch(tmp_path, workers)
     try:
         extra = _read_status(
-            status_file, want=lambda e: e.get("workers_alive") == 2
+            status_file, want=lambda e: e.get("workers_alive") == workers
         )
         first_pids = set(extra["worker_pids"])
-        assert len(first_pids) == 2
+        assert len(first_pids) == workers
         status, body, _ = _ask(port)
         assert status == 200
 
@@ -101,12 +104,12 @@ def test_worker_killed_with_sigkill_is_respawned(tmp_path):
         extra = _read_status(
             status_file,
             want=lambda e: (
-                e.get("workers_alive") == 2
+                e.get("workers_alive") == workers
                 and victim not in e.get("worker_pids", [])
             ),
         )
         assert extra["respawns"] >= 1
-        assert extra["workers_target"] == 2
+        assert extra["workers_target"] == workers
         # The fleet still answers after the murder + respawn.
         spec = {"n": 1, "c_in": 8, "h_in": 7, "w_in": 7, "c_out": 8,
                 "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
@@ -119,10 +122,13 @@ def test_worker_killed_with_sigkill_is_respawned(tmp_path):
     assert "supervisor drained" in out
 
 
-def test_supervised_fleet_drains_cleanly_on_sigterm(tmp_path):
-    proc, port, status_file = _launch(tmp_path)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_supervised_fleet_drains_cleanly_on_sigterm(tmp_path, workers):
+    proc, port, status_file = _launch(tmp_path, workers)
     try:
-        _read_status(status_file, want=lambda e: e.get("workers_alive") == 2)
+        _read_status(
+            status_file, want=lambda e: e.get("workers_alive") == workers
+        )
         status, _, _ = _ask(port, "/readyz")
         assert status == 200
     finally:
@@ -132,14 +138,13 @@ def test_supervised_fleet_drains_cleanly_on_sigterm(tmp_path):
     assert "respawns=0" in out
 
 
-def test_bad_inject_faults_spec_exits_2_before_forking(tmp_path):
-    # Parsed per worker, a bad plan would kill every worker at start-up and
-    # the supervisor would respawn them forever; it must be refused first.
+def _run_refused(tmp_path, *args):
+    """Run ``repro serve ARGS`` that must exit on its own within 10 s;
+    returns ``(returncode, stdout, stderr)``."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--workers", "2", "--port", "0", "--no-watchdog",
-         "--inject-faults", "serve=no-such-mode"],
+         "--port", "0", "--no-watchdog", *args],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, start_new_session=True,
     )
@@ -148,8 +153,35 @@ def test_bad_inject_faults_spec_exits_2_before_forking(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("serve with a bad --inject-faults spec still ran after 10 s")
-    assert proc.returncode == 2, err
+        pytest.fail(f"serve {' '.join(args)} still ran after 10 s")
+    return proc.returncode, out, err
+
+
+def test_bad_inject_faults_spec_exits_2_before_forking(tmp_path):
+    # Parsed per worker, a bad plan would kill every worker at start-up and
+    # the supervisor would respawn them forever; it must be refused first.
+    rc, out, err = _run_refused(
+        tmp_path, "--workers", "2", "--inject-faults", "serve=no-such-mode"
+    )
+    assert rc == 2, err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "bad --inject-faults spec" in errors[0], err
+    assert "listening" not in out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--workers", "0"), ("--max-batch", "0"), ("--max-pending", "0"),
+     ("--default-deadline-ms", "0")],
+)
+def test_setting_that_answers_nothing_exits_2_before_forking(
+    tmp_path, flag, value
+):
+    # Each would leave a daemon that prices nothing, sheds every query or
+    # times every query out; like a bad plan, it is refused before forking.
+    rc, out, err = _run_refused(tmp_path, flag, value)
+    assert rc == 2, err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {flag} must "), err
+    assert f"got {value}" in errors[0], err
     assert "listening" not in out

@@ -6,7 +6,8 @@ persistent store, issues one conv-timing query plus the same query again
 schema-checks ``/healthz`` and ``/statusz``, checks ``/metrics`` exposes
 the serve counters (including the per-route latency histogram) and that
 responses carry ``X-Repro-Run-Id``/``X-Repro-Trace-Id``, then shuts the
-daemon down gracefully (SIGTERM) and requires a clean exit.
+daemon down gracefully (SIGTERM) and requires a clean exit and the
+supervisor's ``respawns=0`` drain line (every daemon runs supervised).
 
 A malformed (non-JSON, or JSON of the wrong shape) control-endpoint
 response is a hard failure — the tool exits nonzero with the offending
@@ -161,6 +162,9 @@ def main() -> int:
             sys.stdout.write(tail)
             assert rc == 0, f"serve exited {rc} on graceful shutdown"
             assert "drained" in tail, "shutdown must report a drain"
+            assert "serve: supervisor drained; respawns=0" in tail, (
+                "the daemon must run supervised and drain with no respawn"
+            )
         finally:
             if proc.poll() is None:
                 proc.kill()
