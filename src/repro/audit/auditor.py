@@ -28,6 +28,7 @@ manifest and metrics.
 from __future__ import annotations
 
 import enum
+import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import AuditFault
@@ -91,9 +92,12 @@ class Auditor:
         "violation_records",
         "verified_keys",
         "differential_skipped",
+        "_lock",
     )
 
     def __init__(self, level: AuditLevel = AuditLevel.OFF) -> None:
+        #: The serve daemon audits on its event loop and its executor.
+        self._lock = threading.Lock()
         self.level = level
         self.enabled = level is not AuditLevel.OFF
         self.checks = 0
@@ -143,17 +147,17 @@ class Auditor:
         check to failed so the catch → shrink → corpus pipeline can be
         exercised end to end without a real model bug.
         """
-        self.checks += 1
-        self.checks_by_invariant[invariant] = (
-            self.checks_by_invariant.get(invariant, 0) + 1
-        )
+        with self._lock:
+            self.checks += 1
+            self.checks_by_invariant[invariant] = (
+                self.checks_by_invariant.get(invariant, 0) + 1
+            )
         plan = _faults.ACTIVE
         if plan is not None and plan.breaks_invariant(invariant):
             ok = False
             message = f"deliberately broken by fault injection: {message}"
         if ok:
             return
-        self.violations += 1
         fault = AuditFault(
             message,
             invariant=invariant,
@@ -161,8 +165,10 @@ class Auditor:
             actual=actual,
             context=context,
         )
-        if len(self.violation_records) < _MAX_VIOLATIONS_KEPT:
-            self.violation_records.append(fault.payload())
+        with self._lock:
+            self.violations += 1
+            if len(self.violation_records) < _MAX_VIOLATIONS_KEPT:
+                self.violation_records.append(fault.payload())
         if _tracer.enabled():
             _tracer.instant(
                 "audit.violation", cat="audit", invariant=invariant

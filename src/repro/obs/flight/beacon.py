@@ -98,6 +98,8 @@ class Beacon:
             self._samples.popleft()
 
     def note_cache(self, tier: str) -> None:
+        """Only ``SimulationCache`` calls this, under its lock (the serve
+        daemon looks up from two threads)."""
         self.cache[tier] = self.cache.get(tier, 0) + 1
 
     def update(self, **fields) -> None:

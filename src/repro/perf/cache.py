@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import threading
 from typing import Any, Callable, Optional, Tuple
 
 from repro.trace import tracer as _trace
@@ -129,10 +130,11 @@ class SimulationCache:
 
     __slots__ = (
         "_store", "_aliases", "hits", "misses", "canonical_hits",
-        "persistent_hits", "enabled", "backing",
+        "persistent_hits", "enabled", "backing", "_lock",
     )
 
     def __init__(self, enabled: bool = True):
+        self._lock = threading.Lock()
         self._store: dict = {}
         self._aliases = 0
         self.hits = 0
@@ -165,65 +167,65 @@ class SimulationCache:
         """One counted lookup: ``(found, value)``.
 
         Counts exactly what a :meth:`get_or_compute` call would have counted
-        for the same keys (a canonical-key serve aliases the exact key).
-
-        Each probe notes its serving tier (``exact``/``canonical``/
-        ``persistent``/``miss``) on the status beacon — an attribute bump,
-        always on — and, only while tracing is enabled, emits a
-        ``cache.probe`` instant so request span trees show which tier
-        answered.
+        for the same keys: a :meth:`lookup`'s hits, else the miss, in the
+        memo and in the attached store (which also promotes a canonical
+        hit to its exact digest).
         """
-        value = self._store.get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            self._note_probe("exact")
-            return True, value
-        if canonical_key is not None and canonical_key != key:
-            value = self._store.get(canonical_key, _MISSING)
+        return self._find(key, canonical_key, counted=True)
+
+    def lookup(self, key: Tuple, canonical_key: Optional[Tuple] = None):
+        """The hit half of :meth:`probe`: ``(found, value)``.
+
+        A miss counts nothing — in the memo or in the attached store — and
+        writes nothing, so a caller that probes the same keys later (the
+        serve daemon's admission) keeps the hit/miss stream exact.
+        """
+        return self._find(key, canonical_key, counted=False)
+
+    def _find(self, key: Tuple, canonical_key: Optional[Tuple], counted: bool):
+        """Memory under ``key``, memory under ``canonical_key`` (a serve
+        aliases the exact key), then the attached store (a serve installs
+        in memory under both keys).  A hit is counted under its tier and
+        noted on the status beacon — and, only while tracing, as a
+        ``cache.probe`` instant, so request span trees show which tier
+        answered; a miss only when ``counted``.
+
+        The serve daemon looks up from its event loop while its executor
+        probes, so the whole lookup, store read and beacon tiers included,
+        holds ``_lock`` (DESIGN.md §4l).
+        """
+        with self._lock:
+            value = self._store.get(key, _MISSING)
             if value is not _MISSING:
                 self.hits += 1
-                self.canonical_hits += 1
-                self._store[key] = value
-                self._aliases += 1
-                self._note_probe("canonical")
+                self._note_probe("exact")
                 return True, value
-        if self.backing is not None:
-            found, value, _ = self.backing.load(key, canonical_key)
-            if found:
-                self.hits += 1
-                self.persistent_hits += 1
-                self._store[key] = value
-                if canonical_key is not None and canonical_key != key:
-                    if self._store.setdefault(canonical_key, value) is value:
-                        self._aliases += 1
-                self._note_probe("persistent")
-                return True, value
-        self.misses += 1
-        self._note_probe("miss")
-        return False, None
-
-    def peek(self, key: Tuple, canonical_key: Optional[Tuple] = None):
-        """Uncounted lookup: ``(found, value)``, no stats, no beacon.
-
-        The serve daemon's *store-only* degradation rung answers warm hits
-        and honestly 503s misses; its admission probe must not perturb the
-        hit/miss accounting the batcher uses to count fresh simulations.
-        A memory hit does not promote or alias; a backing-store hit is
-        promoted (that read already paid the disk I/O).
-        """
-        value = self._store.get(key, _MISSING)
-        if value is not _MISSING:
-            return True, value
-        if canonical_key is not None and canonical_key != key:
-            value = self._store.get(canonical_key, _MISSING)
-            if value is not _MISSING:
-                return True, value
-        if self.backing is not None:
-            found, value, _ = self.backing.load(key, canonical_key)
-            if found:
-                self._store[key] = value
-                return True, value
-        return False, None
+            if canonical_key is not None and canonical_key != key:
+                value = self._store.get(canonical_key, _MISSING)
+                if value is not _MISSING:
+                    self.hits += 1
+                    self.canonical_hits += 1
+                    self._store[key] = value
+                    self._aliases += 1
+                    self._note_probe("canonical")
+                    return True, value
+            if self.backing is not None:
+                found, value, _ = self.backing.load(
+                    key, canonical_key, tentative=not counted
+                )
+                if found:
+                    self.hits += 1
+                    self.persistent_hits += 1
+                    self._store[key] = value
+                    if canonical_key is not None and canonical_key != key:
+                        if self._store.setdefault(canonical_key, value) is value:
+                            self._aliases += 1
+                    self._note_probe("persistent")
+                    return True, value
+            if counted:
+                self.misses += 1
+                self._note_probe("miss")
+            return False, None
 
     @staticmethod
     def _note_probe(tier: str) -> None:
@@ -240,24 +242,30 @@ class SimulationCache:
         second one up, so the faithful count is a hit.  The status beacon's
         tiers move the same way; the probe's ``cache.probe`` instant stays.
         """
-        self.misses -= 1
-        self.hits += 1
-        tier = "exact"
-        if canonical:
-            self.canonical_hits += 1
-            tier = "canonical"
-        tiers = _beacon.get_beacon().cache
-        tiers["miss"] -= 1
-        tiers[tier] += 1
+        with self._lock:
+            self.misses -= 1
+            self.hits += 1
+            tier = "exact"
+            if canonical:
+                self.canonical_hits += 1
+                tier = "canonical"
+            tiers = _beacon.get_beacon().cache
+            tiers["miss"] -= 1
+            tiers[tier] += 1
 
     def store(self, key: Tuple, value: Any, canonical_key: Optional[Tuple] = None) -> None:
-        """Insert a computed value (no counter changes; no-op when disabled)."""
+        """Insert a computed value (no counter changes; no-op when disabled).
+
+        The write-through to the store runs outside ``_lock``: its fsync
+        must not hold up a lookup on another thread.
+        """
         if not self.enabled:
             return
-        self._store[key] = value
-        if canonical_key is not None and canonical_key != key:
-            if self._store.setdefault(canonical_key, value) is value:
-                self._aliases += 1
+        with self._lock:
+            self._store[key] = value
+            if canonical_key is not None and canonical_key != key:
+                if self._store.setdefault(canonical_key, value) is value:
+                    self._aliases += 1
         if self.backing is not None:
             self.backing.save(key, value, canonical_key)
 
@@ -456,9 +464,8 @@ def conv_keys(config, spec, group_size: int, layout) -> Tuple[Tuple, Tuple]:
     and the layout pairs that price identically (:func:`canonical_layout`).
     ``TPUSim`` memoizes under both, the residency scheduler publishes the
     canonical key for its no-residency layers, and the serve daemon matches
-    the memo with them (exact: in-flight dedup; canonical: store-only
-    probes and breaker fingerprints), so every one of them builds the pair
-    here.
+    the memo with them (exact: in-flight dedup; canonical: breaker
+    fingerprints), so every one of them builds the pair here.
     """
     cfg = config_key(config)
     return (

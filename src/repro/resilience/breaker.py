@@ -233,6 +233,17 @@ class BreakerRegistry:
             self.fast_fails += 1
             raise
 
+    def release_probe(self, key: str) -> None:
+        """Give back the half-open probe slot :meth:`admit` just took.
+
+        For a request the caller refuses after admitting it (a shed, a
+        store-only miss): that probe will never report back, and without
+        its slot every later request for ``key`` would be refused.
+        """
+        breaker = self._breakers.get(key)
+        if breaker is not None and breaker.state == HALF_OPEN:
+            breaker.probes_inflight = max(0, breaker.probes_inflight - 1)
+
     def record_failure(self, key: str, fault: str, message: str) -> bool:
         tripped = self._get(key).record_failure(fault, message)
         if tripped:

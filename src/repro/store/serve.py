@@ -8,16 +8,20 @@ would compute — served from the in-process memo, the persistent store
 
 Request handling is built for fleets of duplicate queries:
 
-- **dedup**: queries are keyed by the simulator's own cache key; a query
+- **warm hits at admission**: a query the memo or the store already
+  answers is answered when it is admitted, at every rung, through the
+  simulator's pricing tail (:meth:`TPUSim.lookup_conv`: counted, audited
+  and traced like any priced layer) — it never queues;
+- **dedup**: misses are keyed by the simulator's own cache key; a query
   identical to one already in flight awaits the same future — N clients
   asking for ResNet conv3_1 cost one simulation;
-- **batching**: queued queries are drained every ``batch_window_s`` (or
+- **batching**: queued misses are drained every ``batch_window_s`` (or
   when ``max_batch`` accumulate) and grouped by hardware config into
   single :meth:`TPUSim.simulate_conv_batch` calls, so the batched
   schedule engine amortizes pricing exactly as the harness does;
 - **load shedding**: admission consults the service's
   :class:`~repro.resilience.supervisor.ErrorBudget` — when the pending
-  backlog exceeds the configured budget the query is refused with HTTP
+  backlog of misses exceeds the configured budget a miss is refused with HTTP
   429 + ``Retry-After`` (and counted as a ``LoadShed`` fault) instead of
   growing the queue without bound;
 - **graceful drain**: shutdown stops admitting (503 + ``Retry-After``),
@@ -75,6 +79,7 @@ import asyncio
 import dataclasses
 import hashlib
 import json
+import math
 import signal
 import sys
 import time
@@ -132,11 +137,39 @@ CONFIG_FIELDS = frozenset(
      "tile_setup_cycles", "weight_double_buffer"}
 )
 
-#: The degradation ladder, healthiest first.  ``full`` batches queries
-#: through the batched schedule engine; ``serial`` prices one spec at a
-#: time (exact failure attribution, no batch blast radius); ``store-only``
-#: answers warm memo/store hits and honestly 503s misses; ``drain``
-#: refuses all simulation work.
+#: The JSON values each dataclass annotation accepts (``ConvSpec`` and
+#: ``TPUConfig`` annotate with strings), and how a refusal names them.
+#: ``true``/``false`` are not numbers here, though Python's bool is an int.
+JSON_TYPES = {
+    "int": ("an integer",
+            lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number",
+              lambda v: (isinstance(v, int) and not isinstance(v, bool))
+              or (isinstance(v, float) and math.isfinite(v))),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_json_types(kind: str, cls: type, values: Dict[str, Any]) -> None:
+    """Raise :class:`BadRequest` naming the first field of ``values`` whose
+    JSON value does not fit its ``cls`` annotation."""
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        expected, accepts = JSON_TYPES[annotations[name]]
+        if not accepts(value):
+            raise BadRequest(
+                f"{kind} field {name!r} must be {expected}, "
+                f"got {json.dumps(value)}"
+            )
+
+
+#: The degradation ladder, healthiest first.  Every rung but ``drain``
+#: answers warm memo/store hits at admission; they differ in the misses:
+#: ``full`` batches them through the batched schedule engine, ``serial``
+#: prices one at a time (exact failure attribution, no batch blast
+#: radius), ``store-only`` honestly 503s them; ``drain`` refuses all
+#: simulation work.
 LADDER_RUNGS = ("full", "serial", "store-only", "drain")
 RUNG_FULL, RUNG_SERIAL, RUNG_STORE_ONLY, RUNG_DRAIN = range(4)
 
@@ -171,9 +204,10 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8707
-    #: Pending-query budget; admission beyond it sheds with HTTP 429.
+    #: Pending-miss budget; a miss admitted beyond it sheds with HTTP 429.
     max_pending: int = 256
-    #: Seconds the batcher waits to let concurrent queries coalesce.
+    #: Seconds the batcher waits to let concurrent misses coalesce (warm
+    #: hits are answered at admission and never wait).
     batch_window_s: float = 0.005
     #: Queries drained into one ``simulate_conv_batch`` call at most.
     max_batch: int = 64
@@ -256,12 +290,14 @@ class Query:
         unknown = set(raw_spec) - SPEC_FIELDS
         if unknown:
             raise BadRequest(f"unknown spec fields: {sorted(unknown)}")
+        _check_json_types("spec", ConvSpec, raw_spec)
         overrides = payload.get("config", {})
         if not isinstance(overrides, dict):
             raise BadRequest("'config' must be an object of TPUConfig overrides")
         unknown = set(overrides) - CONFIG_FIELDS
         if unknown:
             raise BadRequest(f"unknown config fields: {sorted(unknown)}")
+        _check_json_types("config", TPUConfig, overrides)
         raw_layout = payload.get("layout", Layout.NHWC.value)
         try:
             layout = Layout(raw_layout)
@@ -269,7 +305,9 @@ class Query:
             raise BadRequest(f"unknown layout {raw_layout!r}") from None
         group_size = payload.get("group_size")
         if group_size is not None and (
-            not isinstance(group_size, int) or group_size <= 0
+            isinstance(group_size, bool)
+            or not isinstance(group_size, int)
+            or group_size <= 0
         ):
             raise BadRequest("'group_size' must be a positive integer")
         try:
@@ -295,10 +333,6 @@ class Query:
             layout=layout, key=conv_keys(config, spec, resolved, layout)[0],
             fingerprint=spec_fingerprint(config, spec, resolved, layout),
         )
-
-    def canonical_key(self) -> Tuple:
-        """The symmetry-folded secondary cache key (store-only probes)."""
-        return conv_keys(self.config, self.spec, self.key[3], self.layout)[1]
 
 
 def result_payload(query: Query, result) -> Dict[str, Any]:
@@ -472,10 +506,17 @@ class SimulationService:
     def submit(self, query: Query) -> asyncio.Future:
         """Admit one query; returns the future its result resolves on.
 
+        A warm query is answered here, at every rung: the memo or store
+        hit is published through the simulator's pricing tail
+        (:meth:`TPUSim.lookup_conv`) and the returned future is already
+        resolved — with the :class:`~repro.errors.AuditFault` instead when
+        the hit fails its audit.  Only misses join dedup, the pending
+        budget and the batch window.
+
         Raises :class:`Draining` during shutdown (or on the drain rung),
         :class:`BreakerOpen` when the spec's breaker refuses,
         :class:`StoreOnlyMiss` on a cold spec at the store-only rung and
-        :class:`LoadShed` when the backlog exhausted the budget.
+        :class:`LoadShed` when the backlog of misses exhausted the budget.
         """
         beacon = flight_beacon.get_beacon()
         beacon.requests += 1
@@ -497,25 +538,39 @@ class SimulationService:
             self.budget.count_fault("BreakerOpen")
             self.registry.inc_counter("repro_serve_breaker_fastfail_total")
             raise
-        loop = asyncio.get_running_loop()
-        if self.rung >= RUNG_STORE_ONLY:
-            # Store-only: answer warm memo/store hits, refuse cold specs.
-            found, value = SIM_CACHE.peek(query.key, query.canonical_key())
-            self.budget.tasks += 1
-            if not found:
-                self.budget.failed += 1
-                self.budget.count_fault("StoreOnlyMiss")
-                self.registry.inc_counter("repro_serve_store_only_miss_total")
-                raise StoreOnlyMiss(
-                    "degraded to store-only and this spec is not warm"
-                )
-            self.budget.succeeded += 1
-            name = query.spec.describe() or "conv"
-            if value.name != name:
-                value = dataclasses.replace(value, name=name)
-            future: asyncio.Future = loop.create_future()
-            future.set_result(value)
+        self.budget.tasks += 1
+        future = asyncio.get_running_loop().create_future()
+        try:
+            result = self._sim_for(query).lookup_conv(
+                query.spec, query.group_size, query.layout
+            )
+        except Exception as err:  # a warm answer that failed its audit
+            self._charge_failure(query, err)
+            obs_log.error(
+                "serve.query_failed",
+                spec=query.spec.describe(), fingerprint=query.fingerprint,
+                error=str(err),
+            )
+            future.set_exception(err)
+        else:
+            if result is not None:
+                self.budget.succeeded += 1
+                self.breakers.record_success(query.fingerprint)
+                future.set_result(result)
+        if future.done():
+            # Registered like any admitted query, so release() stays
+            # symmetric with a concurrent request's miss on the same key.
+            self._waiters[query.key] = self._waiters.get(query.key, 0) + 1
             return future
+        # A miss: refused on the store-only rung, else dedup, shed or queue.
+        if self.rung >= RUNG_STORE_ONLY:
+            self.breakers.release_probe(query.fingerprint)
+            self.budget.failed += 1
+            self.budget.count_fault("StoreOnlyMiss")
+            self.registry.inc_counter("repro_serve_store_only_miss_total")
+            raise StoreOnlyMiss(
+                "degraded to store-only and this spec is not warm"
+            )
         existing = self._inflight.get(query.key)
         if existing is not None:
             # Identical query already in flight: same future, no new task.
@@ -528,12 +583,11 @@ class SimulationService:
                     "serve.dedup_join", cat="serve",
                     trace_id=query.ctx.trace_id, span_id=query.ctx.span_id,
                 )
-            self.budget.tasks += 1
             self.budget.succeeded += 1
             self._waiters[query.key] = self._waiters.get(query.key, 0) + 1
             return existing
         if self.pending >= self.config.max_pending:
-            self.budget.tasks += 1
+            self.breakers.release_probe(query.fingerprint)
             self.budget.failed += 1
             self.budget.count_fault("LoadShed")
             self.registry.inc_counter("repro_serve_shed_total")
@@ -542,8 +596,6 @@ class SimulationService:
                 f"pending backlog {self.pending} exhausts the budget "
                 f"({self.config.max_pending})"
             )
-        self.budget.tasks += 1
-        future = loop.create_future()
         self._inflight[query.key] = future
         self._waiters[query.key] = self._waiters.get(query.key, 0) + 1
         self._queue.append(query)
@@ -638,12 +690,16 @@ class SimulationService:
 
     def _fail(self, query: Query, err: BaseException) -> None:
         """Fail one priced query: future, budget, breaker bookkeeping."""
-        self.budget.failed += 1
-        self.budget.count_fault(type(err).__name__)
-        self._record_breaker_failure(query, type(err).__name__, str(err))
+        self._charge_failure(query, err)
         future = self._inflight.pop(query.key, None)
         if future is not None and not future.done():
             future.set_exception(err)
+
+    def _charge_failure(self, query: Query, err: BaseException) -> None:
+        """Charge one failed answer: budget, fault class, breaker failure."""
+        self.budget.failed += 1
+        self.budget.count_fault(type(err).__name__)
+        self._record_breaker_failure(query, type(err).__name__, str(err))
 
     def _record_breaker_failure(
         self, query: Query, fault: str, message: str
@@ -1228,8 +1284,10 @@ class ReproServer:
                 timeout=max(0.001, remaining),
             )
         except asyncio.TimeoutError:
-            for query in queries:
-                self.service.release(query, timed_out=True)
+            # Only a query still unanswered timed out; an answered one in
+            # the same request is released like a success.
+            for query, future in zip(queries, futures):
+                self.service.release(query, timed_out=not future.done())
             retry = config.retry_after_shed_s
             return 504, _JSON, json.dumps(
                 self._error_body(
@@ -1240,8 +1298,8 @@ class ReproServer:
         except asyncio.CancelledError:
             # Another request's abandonment cancelled a shared future from
             # under us — answer this waiter honestly rather than unwinding.
-            for query in queries:
-                self.service.release(query, timed_out=True)
+            for query, future in zip(queries, futures):
+                self.service.release(query, timed_out=not future.done())
             retry = config.retry_after_shed_s
             return 504, _JSON, json.dumps(
                 self._error_body(
@@ -1421,9 +1479,10 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", default="", metavar="DIR",
                         help="persistent result store to warm-start from / write through to")
     parser.add_argument("--max-pending", type=int, default=defaults.max_pending,
-                        help="pending-query budget before load-shedding (429)")
+                        help="pending-miss budget before load-shedding (429)")
     parser.add_argument("--batch-window", type=float, default=defaults.batch_window_s,
-                        metavar="S", help="coalescing window before each engine batch")
+                        metavar="S", help="coalescing window for misses before "
+                             "each engine batch (warm hits never wait)")
     parser.add_argument("--max-batch", type=int, default=defaults.max_batch,
                         help="queries per simulate_conv_batch call at most")
     parser.add_argument("--default-deadline-ms", type=float,

@@ -243,13 +243,17 @@ class ResultStore:
         return value
 
     def load(
-        self, key: Any, canonical_key: Optional[Any] = None
+        self, key: Any, canonical_key: Optional[Any] = None, tentative: bool = False
     ) -> Tuple[bool, Any, bool]:
         """One store lookup: ``(found, value, via_canonical)``.
 
         Tries the exact digest, then the canonical one; a canonical serve
         promotes the value to the exact digest (mirroring the memo cache's
         exact-key aliasing) so the next process hits in one probe.
+
+        A ``tentative`` lookup (the serve daemon's admission, on its event
+        loop) writes nothing — no promotion and its fsync — and leaves a
+        miss to the counted lookup that follows it.
         """
         digest = key_digest(key)
         value = self._load_digest(digest)
@@ -261,9 +265,11 @@ class ResultStore:
             if value is not None:
                 self.stats.hits += 1
                 self.stats.canonical_hits += 1
-                self._write_digest(digest, value, overwrite=True)
+                if not tentative:
+                    self._write_digest(digest, value, overwrite=True)
                 return True, value, True
-        self.stats.misses += 1
+        if not tentative:
+            self.stats.misses += 1
         return False, None, False
 
     # --------------------------------------------------------------- write

@@ -4,6 +4,8 @@ Public entry points:
 
 - :meth:`TPUSim.simulate_conv` — timing of one CONV layer under the
   channel-first implicit im2col schedule (with the multi-tile policy).
+- :meth:`TPUSim.lookup_conv` — :meth:`TPUSim.simulate_conv`'s answer when
+  the memo or the attached store already holds it, without pricing.
 - :meth:`TPUSim.simulate_gemm` — timing of a plain GEMM primitive.
 - :meth:`TPUSim.simulate_network` — a whole network's conv layers.
 - :meth:`TPUSim.run_functional_conv` — *functional* execution of a conv
@@ -22,7 +24,8 @@ dual-MXU, sparse, explicit-im2col, residency and channel-last modules —
 assembles it with :func:`layer_result` and publishes it through
 :func:`finish` (name fix-up, audit, trace record); single-layer memoized
 paths reach :func:`finish` through :func:`price`, the conv and GEMM batch
-entry points through one batched memo loop.
+entry points through one batched memo loop, and a conv memo hit served
+without pricing through :meth:`TPUSim.lookup_conv`.
 """
 
 from __future__ import annotations
@@ -264,6 +267,53 @@ class TPUSim:
         produced; only the construction/pricing work is amortized across
         the batch (:mod:`repro.perf.batch`).
         """
+        requests = [self._conv_request(spec, group_size, layout) for spec in specs]
+        return self._price_batch("tpu.conv", requests, *self._conv_audits(layout))
+
+    def lookup_conv(
+        self,
+        spec: ConvSpec,
+        group_size: Optional[int] = None,
+        layout: Layout = Layout.NHWC,
+    ) -> Optional[LayerResult]:
+        """:meth:`simulate_conv`'s answer if the memo or the attached store
+        already holds it, else ``None`` (always ``None`` with the memo off).
+
+        A hit is counted under its tier and published through
+        :func:`finish` with the conv path's own audits, exactly like a hit
+        inside :meth:`simulate_conv_batch`; a miss counts nothing and
+        prices nothing, so the caller may still price the layer later.
+        """
+        if not SIM_CACHE.enabled:
+            return None
+        key, canonical, job, name, _, _ = self._conv_request(spec, group_size, layout)
+        found, value = SIM_CACHE.lookup(key, canonical)
+        if not found:
+            return None
+        _, check, verify = self._conv_audits(layout)
+        return finish(
+            "tpu.conv",
+            value,
+            key,
+            name=name,
+            check=functools.partial(check, job),
+            verify=functools.partial(verify, job, key),
+        )
+
+    def _conv_request(self, spec: ConvSpec, group_size: Optional[int], layout: Layout):
+        """One conv layer as a :meth:`_price_batch` request: the group
+        resolved by the TPU policy unless given, keyed by :func:`conv_keys`."""
+        group = (
+            group_size
+            if group_size is not None
+            else tpu_multi_tile_policy(spec, self.config.array_rows)
+        )
+        exact, canonical = conv_keys(self.config, spec, group, layout)
+        return (exact, canonical, (spec, group), spec.describe() or "conv", spec.macs, group)
+
+    def _conv_audits(self, layout: Layout):
+        """The conv path's ``(build, check, verify)``: its engine schedules
+        and the audits :func:`finish` runs on every conv answer."""
         config, engine = self.config, self.engine
 
         def build(jobs):
@@ -290,18 +340,7 @@ class TPUSim:
                 group_size=group,
             )
 
-        requests = []
-        for spec in specs:
-            group = (
-                group_size
-                if group_size is not None
-                else tpu_multi_tile_policy(spec, config.array_rows)
-            )
-            exact, canonical = conv_keys(config, spec, group, layout)
-            requests.append(
-                (exact, canonical, (spec, group), spec.describe() or "conv", spec.macs, group)
-            )
-        return self._price_batch("tpu.conv", requests, build, check, verify)
+        return build, check, verify
 
     def simulate_gemm(self, shape: GemmShape, name: str = "gemm") -> LayerResult:
         """Timing of a plain GEMM primitive (Fig 13a, Fig 4 reference): a

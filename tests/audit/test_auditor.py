@@ -47,6 +47,34 @@ def test_passing_check_counts_without_raising():
     assert snap["violations"] == 0
 
 
+def test_two_threads_checking_lose_no_count():
+    """The serve daemon audits on its event loop and its executor at once:
+    every check is counted, per invariant too."""
+    import sys
+    import threading
+
+    a = Auditor(AuditLevel.CHEAP)
+    threads, checks = 4, 25_000
+
+    def worker():
+        for _ in range(checks):
+            a.check("x.y", True, expected=1, actual=1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert a.checks == threads * checks
+    assert a.checks_by_invariant == {"x.y": threads * checks}
+
+
 def test_failing_check_raises_structured_fault():
     a = Auditor(AuditLevel.CHEAP)
     with pytest.raises(AuditFault) as excinfo:

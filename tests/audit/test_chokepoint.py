@@ -41,6 +41,10 @@ ENTRY_POINTS = {
     "TPUSim.simulate_conv": (
         "tpu.conv", "tpu.macs.conservation", lambda: TPUSim().simulate_conv(SPEC)
     ),
+    # After simulate_conv, so the layer is warm and the lookup hits.
+    "TPUSim.lookup_conv": (
+        "tpu.conv", "tpu.macs.conservation", lambda: TPUSim().lookup_conv(SPEC)
+    ),
     "TPUSim.simulate_gemm": (
         "tpu.gemm", "tpu.gemm.macs.conservation", lambda: TPUSim().simulate_gemm(SHAPE)
     ),
@@ -124,7 +128,7 @@ def _corrupt_then_audit(call, key, corrupt):
     """Price once unaudited, corrupt the memo entry, price again under
     ``--audit full``; returns the fault the second call must raise."""
     call()
-    found, good = SIM_CACHE.peek(key)
+    found, good = SIM_CACHE.lookup(key)
     assert found
     SIM_CACHE.store(key, corrupt(good))
     auditor.configure("full")

@@ -93,6 +93,55 @@ def test_hit_miss_accounting():
     assert (cache.stats.hits, cache.stats.misses, cache.stats.entries) == (0, 0, 0)
 
 
+def test_lookup_counts_hits_only():
+    """``probe`` is ``lookup`` plus the miss: a lookup that finds nothing
+    counts nothing, so the later counted probe keeps the stream exact."""
+    cache = SimulationCache()
+    assert cache.lookup(("k",), ("c",)) == (False, None)
+    assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+    cache.store(("k",), "value", ("c",))
+    assert cache.lookup(("k",)) == (True, "value")
+    assert cache.lookup(("twin",), ("c",)) == (True, "value")
+    stats = cache.stats
+    assert (stats.hits, stats.canonical_hits, stats.misses) == (2, 1, 0)
+    assert cache.probe(("other",)) == (False, None)
+    assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+
+def test_two_threads_looking_up_lose_no_count():
+    """The serve daemon looks up on its event loop while its executor
+    thread probes: the cache's lock keeps every hit counter and beacon
+    tier update whole."""
+    import sys
+    import threading
+
+    from repro.obs.flight import beacon as beacon_mod
+
+    cache = SimulationCache()
+    cache.store(("k",), "value", ("c",))
+    beacon = beacon_mod.reset_beacon()
+    threads, lookups = 4, 25_000
+
+    def worker():
+        for _ in range(lookups):
+            cache.lookup(("k",), ("c",))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in pool)
+    finally:
+        sys.setswitchinterval(interval)
+        beacon_mod.reset_beacon()
+    assert cache.hits == threads * lookups
+    assert beacon.cache["exact"] == threads * lookups
+
+
 def test_disabled_cache_recomputes():
     cache = SimulationCache(enabled=False)
     calls = []

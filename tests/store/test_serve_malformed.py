@@ -201,6 +201,55 @@ def test_garbage_json_and_malformed_requests_answered_400():
     asyncio.run(scenario())
 
 
+#: Well-formed JSON whose numbers do not fit the field: each must be a
+#: 400 at parse, never a 500 from inside pricing (which would charge the
+#: spec's breaker and count as an SLO failure) nor a silently odd answer.
+MALFORMED_NUMBERS = {
+    "spec.c_in=16.5": ("c_in", {"spec": dict(SPEC, c_in=16.5)}),
+    "spec.c_in=16.0": ("c_in", {"spec": dict(SPEC, c_in=16.0)}),
+    "spec.stride=2.0": ("stride", {"spec": dict(SPEC, stride=2.0)}),
+    "spec.padding=1.0": ("padding", {"spec": dict(SPEC, padding=1.0)}),
+    "spec.n=true": ("'n'", {"spec": dict(SPEC, n=True)}),
+    "spec.name=7": ("name", {"spec": dict(SPEC, name=7)}),
+    "config.array_rows=64.5": (
+        "array_rows", {"spec": SPEC, "config": {"array_rows": 64.5}}
+    ),
+    "config.array_rows=true": (
+        "array_rows", {"spec": SPEC, "config": {"array_rows": True}}
+    ),
+    "config.clock_ghz=NaN": (
+        "clock_ghz", {"spec": SPEC, "config": {"clock_ghz": float("nan")}}
+    ),
+    "config.weight_double_buffer=1": (
+        "weight_double_buffer",
+        {"spec": SPEC, "config": {"weight_double_buffer": 1}},
+    ),
+    "group_size=true": ("group_size", {"spec": SPEC, "group_size": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_malformed_numbers_answered_400_at_parse(case):
+    field, payload = MALFORMED_NUMBERS[case]
+
+    async def scenario():
+        service, server, host, port = await _boot()
+        try:
+            status, body = await http_request(
+                host, port, "POST", "/v1/conv", payload
+            )
+            assert status == 400, body
+            assert field in body["error"]
+            assert service.breakers.snapshot()["keys"] == 0
+            assert service.simulations == 0
+            assert all(ok for _, _, ok in service._samples)
+            await _assert_still_serving(host, port)
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
 def test_connect_then_close_is_not_an_error():
     async def scenario():
         service, server, host, port = await _boot()

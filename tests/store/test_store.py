@@ -144,6 +144,23 @@ def test_canonical_lookup_promotes_exact_record(tmp_path):
     assert found and not via_canonical
 
 
+def test_tentative_lookup_counts_hits_only_and_writes_nothing(tmp_path):
+    """The serve daemon's admission lookup: a miss is left to the counted
+    lookup that follows it, and a canonical hit is not promoted (no write,
+    so no fsync on the daemon's event loop)."""
+    store = ResultStore(tmp_path / "store")
+    exact, canonical = ("k", "variant-a"), ("k@c", "folded")
+    assert store.load(("other",), tentative=True) == (False, None, False)
+    assert store.stats.misses == 0
+    store.save(("k", "variant-b"), RESULT, canonical_key=canonical)
+    writes = store.stats.writes
+    found, value, via_canonical = store.load(exact, canonical, tentative=True)
+    assert found and value == RESULT and via_canonical
+    assert (store.stats.hits, store.stats.canonical_hits) == (1, 1)
+    assert store.stats.writes == writes
+    assert not store.record_path(key_digest(exact)).exists()
+
+
 def test_shard_layout(tmp_path):
     store = ResultStore(tmp_path / "store")
     store.save(("a",), RESULT)

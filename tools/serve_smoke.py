@@ -2,7 +2,8 @@
 
 Boots the daemon as a subprocess on an ephemeral port with a tmpdir
 persistent store, issues one conv-timing query plus the same query again
-(which must be served without a new simulation — the store/memo answer),
+(which must be served without a new simulation and without a batch — a
+warm hit is answered at admission, never queued),
 schema-checks ``/healthz`` and ``/statusz``, checks ``/metrics`` exposes
 the serve counters (including the per-route latency histogram) and that
 responses carry ``X-Repro-Run-Id``/``X-Repro-Trace-Id``, then shuts the
@@ -136,9 +137,13 @@ async def exercise(port: int) -> None:
     assert sims and int(sims.group(1)) == 1, (
         f"repeat query must not re-simulate: {sims and sims.group(0)}"
     )
+    batches = re.search(r"repro_serve_batches_total (\d+)", metrics)
+    assert batches and int(batches.group(1)) == 1, (
+        f"repeat query must skip the batch queue: {batches and batches.group(0)}"
+    )
     print(
-        f"serve-smoke: 2 queries, 1 simulation, /healthz+/readyz+/statusz "
-        f"schema ok, /metrics ok (port {port})"
+        f"serve-smoke: 2 queries, 1 simulation, 1 batch, "
+        f"/healthz+/readyz+/statusz schema ok, /metrics ok (port {port})"
     )
 
 
