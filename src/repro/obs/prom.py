@@ -44,21 +44,21 @@ HELP_TEXT: Dict[str, str] = {
     "repro_sim_cache_persistent_hits_total": "Cache lookups served by the persistent result store in this run.",
     "repro_store_hit_rate": "Persistent result-store hit rate (hits / lookups).",
     "repro_store_corrupt_skipped": "Corrupt store records skipped (recomputed) so far.",
-    "repro_serve_requests_total": "Timing queries admitted by the serve daemon.",
-    "repro_serve_deduped_total": "Queries answered by an identical in-flight query's future.",
+    "repro_serve_requests_total": "Timing queries seen by serve admission, refusals included.",
+    "repro_serve_deduped_total": "Queries that joined an identical miss already queued or pricing.",
     "repro_serve_shed_total": "Queries refused with 429 because the pending budget was exhausted.",
     "repro_serve_batches_total": "simulate_conv_batch calls issued by the serve batcher.",
     "repro_serve_simulations_total": "Fresh simulations performed by the serve batcher (memo/store hits excluded).",
     "repro_serve_request_seconds": "End-to-end serve request latency distribution (per route when labeled).",
     "repro_serve_batch_seconds": "Engine wall time per served batch.",
-    "repro_serve_pending": "Queries currently in flight in the serve daemon.",
+    "repro_serve_pending": "Distinct misses queued or pricing in the serve daemon.",
     "repro_serve_draining": "1 while the serve daemon is draining for shutdown.",
     "repro_serve_degraded": "Current degradation-ladder rung (0=full 1=serial 2=store-only 3=drain).",
     "repro_serve_rung_changes_total": "Degradation-ladder rung changes (escalations and recoveries).",
     "repro_serve_breaker_trips_total": "Circuit-breaker trips (a spec fingerprint went open).",
     "repro_serve_breaker_fastfail_total": "Queries fast-failed with 422 by an open circuit breaker.",
     "repro_serve_breaker_open": "Spec-fingerprint circuit breakers currently open or half-open.",
-    "repro_serve_deadline_timeouts_total": "Requests that blew their deadline (504) and abandoned their queries.",
+    "repro_serve_deadline_timeouts_total": "Queries unanswered when their request's deadline passed (504).",
     "repro_serve_store_only_miss_total": "Queries refused 503 at the store-only rung because the spec was cold.",
     "repro_dse_tasks_total": "Design-space sweep tasks enqueued (point x workload).",
     "repro_dse_results_total": "Design-space sweep tasks with a journaled result.",

@@ -123,17 +123,19 @@ class CircuitBreaker:
         }
 
     # ------------------------------------------------------------ lifecycle
-    def admit(self) -> None:
+    def admit(self) -> Optional[int]:
         """Gate one request; raises :class:`BreakerOpen` when refusing.
 
         An open breaker whose cooldown elapsed transitions to half-open
         and admits up to ``half_open_probes`` concurrent probes; further
-        requests keep being refused until a probe reports back.
+        requests keep being refused until a probe reports back.  Returns
+        ``None`` when closed, else the probe slot taken: the trip count,
+        which names this half-open period (it changes only on a trip).
         """
         now = self.clock()
         self.last_touch = now
         if self.state == CLOSED:
-            return
+            return None
         if self.state == OPEN:
             if self.cooldown_remaining(now) > 0.0:
                 raise BreakerOpen(self.verdict(now))
@@ -147,6 +149,7 @@ class CircuitBreaker:
             verdict["retry_after_s"] = round(self.policy.cooldown_s, 3)
             raise BreakerOpen(verdict)
         self.probes_inflight += 1
+        return self.trips
 
     def record_success(self) -> None:
         """A request for this key completed: close and forget everything."""
@@ -222,26 +225,31 @@ class BreakerRegistry:
         del self._breakers[stalest.key]
 
     # -------------------------------------------------------------- gating
-    def admit(self, key: str) -> None:
-        """Raise :class:`BreakerOpen` if ``key``'s breaker refuses."""
+    def admit(self, key: str) -> Optional[int]:
+        """Raise :class:`BreakerOpen` if ``key``'s breaker refuses; else
+        the half-open probe slot taken (``None`` when closed)."""
         breaker = self._breakers.get(key)
         if breaker is None:
-            return  # no history: implicitly closed, allocate nothing
+            return None  # no history: implicitly closed, allocate nothing
         try:
-            breaker.admit()
+            return breaker.admit()
         except BreakerOpen:
             self.fast_fails += 1
             raise
 
-    def release_probe(self, key: str) -> None:
-        """Give back the half-open probe slot :meth:`admit` just took.
+    def release_probe(self, key: str, slot: Optional[int]) -> None:
+        """Give back the half-open probe slot :meth:`admit` returned.
 
-        For a request the caller refuses after admitting it (a shed, a
-        store-only miss): that probe will never report back, and without
-        its slot every later request for ``key`` would be refused.
+        For a probe that will never report back (refused after admission,
+        or withdrawn before it was priced): without its slot every later
+        request for ``key`` would be refused.  A slot from an earlier
+        half-open period frees nothing, so it cannot free a later probe's.
         """
         breaker = self._breakers.get(key)
-        if breaker is not None and breaker.state == HALF_OPEN:
+        if (
+            breaker is not None and breaker.state == HALF_OPEN
+            and breaker.trips == slot
+        ):
             breaker.probes_inflight = max(0, breaker.probes_inflight - 1)
 
     def record_failure(self, key: str, fault: str, message: str) -> bool:

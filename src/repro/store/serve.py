@@ -13,17 +13,21 @@ Request handling is built for fleets of duplicate queries:
   simulator's pricing tail (:meth:`TPUSim.lookup_conv`: counted, audited
   and traced like any priced layer) — it never queues;
 - **dedup**: misses are keyed by the simulator's own cache key; a query
-  identical to one already in flight awaits the same future — N clients
-  asking for ResNet conv3_1 cost one simulation;
+  identical to a miss already queued or pricing joins that miss's flight
+  — N clients asking for ResNet conv3_1 cost one simulation, and each
+  query keeps its own future;
 - **batching**: queued misses are drained every ``batch_window_s`` (or
   when ``max_batch`` accumulate) and grouped by hardware config into
   single :meth:`TPUSim.simulate_conv_batch` calls, so the batched
   schedule engine amortizes pricing exactly as the harness does;
-- **load shedding**: admission consults the service's
-  :class:`~repro.resilience.supervisor.ErrorBudget` — when the pending
-  backlog of misses exceeds the configured budget a miss is refused with HTTP
-  429 + ``Retry-After`` (and counted as a ``LoadShed`` fault) instead of
-  growing the queue without bound;
+- **one outcome per query**: every query admission sees is one task on
+  the service's :class:`~repro.resilience.supervisor.ErrorBudget`, and it
+  ends in exactly one of ``succeeded`` or ``failed``, with the fault
+  class its client saw, counted once when the query's own future is
+  done;
+- **load shedding**: when the pending backlog of misses exceeds the
+  configured budget a miss is refused with HTTP 429 + ``Retry-After``
+  (a ``LoadShed`` fault) instead of growing the queue without bound;
 - **graceful drain**: shutdown stops admitting (503 + ``Retry-After``),
   finishes every in-flight simulation, and answers the clients that were
   already queued.
@@ -32,9 +36,10 @@ And for everything the fault injector can throw at it (DESIGN.md §4l):
 
 - **per-request deadlines** — ``X-Repro-Deadline-Ms`` (or
   ``--default-deadline-ms``) bounds how long a client waits; a blown
-  deadline answers 504 + ``Retry-After``, and when the *last* waiter on a
-  deduped query gives up the query is cooperatively cancelled so
-  abandoned work stops burning simulator time;
+  deadline answers 504 + ``Retry-After`` and charges each query still
+  unanswered a ``DeadlineExceeded``; a queued miss whose *last* waiter
+  gave up is withdrawn unpriced, so abandoned work never reaches the
+  engine;
 - **per-fingerprint circuit breakers**
   (:mod:`repro.resilience.breaker`) — repeated AuditFault / crash /
   deadline overrun attributed to one *canonical* spec fingerprint trips
@@ -77,6 +82,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -387,11 +393,33 @@ def slo_decision(
     return None
 
 
+@dataclasses.dataclass(eq=False)
+class _Flight:
+    """One distinct miss, queued or pricing: the futures of the queries
+    waiting on it, and the half-open breaker slot they took (if any)."""
+
+    query: Query
+    probe: Optional[int]
+    futures: List[asyncio.Future] = dataclasses.field(default_factory=list)
+
+
+#: What :meth:`SimulationService.submit` raises to refuse a query.
+REFUSALS = (Draining, BreakerOpen, StoreOnlyMiss, LoadShed)
+
+#: The ``repro_serve_*`` series a query failing with each fault class bumps.
+FAULT_SERIES = {
+    "BreakerOpen": "repro_serve_breaker_fastfail_total",
+    "StoreOnlyMiss": "repro_serve_store_only_miss_total",
+    "LoadShed": "repro_serve_shed_total",
+    "DeadlineExceeded": "repro_serve_deadline_timeouts_total",
+}
+
+
 class SimulationService:
     """Dedups, batches, gates, and prices admitted queries.
 
-    Owns the daemon's :class:`ErrorBudget` (every admitted query is a
-    task, sheds are ``LoadShed`` faults), the per-fingerprint
+    Owns the daemon's :class:`ErrorBudget` (one task per query, its
+    outcome counted once by :meth:`_count`), the per-fingerprint
     :class:`BreakerRegistry`, and the degradation-ladder rung.
     """
 
@@ -412,9 +440,8 @@ class SimulationService:
             )
         )
         self._sims: Dict[Tuple, TPUSim] = {}
-        self._inflight: Dict[Tuple, asyncio.Future] = {}
-        self._waiters: Dict[Tuple, int] = {}
-        self._queue: List[Query] = []
+        self._inflight: Dict[Tuple, _Flight] = {}
+        self._queue: List[_Flight] = []
         self._wakeup: Optional[asyncio.Event] = None
         self._batcher: Optional[asyncio.Task] = None
         self._watchdog: Optional[asyncio.Task] = None
@@ -504,14 +531,17 @@ class SimulationService:
 
     # ----------------------------------------------------------- admission
     def submit(self, query: Query) -> asyncio.Future:
-        """Admit one query; returns the future its result resolves on.
+        """Admit one query; returns its own future, which its answer resolves.
 
-        A warm query is answered here, at every rung: the memo or store
-        hit is published through the simulator's pricing tail
-        (:meth:`TPUSim.lookup_conv`) and the returned future is already
-        resolved — with the :class:`~repro.errors.AuditFault` instead when
-        the hit fails its audit.  Only misses join dedup, the pending
-        budget and the batch window.
+        Every query seen is one budget task that ends in exactly one of
+        ``succeeded`` or ``failed``, with the fault class its client saw:
+        :meth:`_count` counts it when this future is done, and a refusal
+        fails the future with itself before it is raised.  A warm query is
+        answered here, at every rung, through the simulator's pricing tail
+        (:meth:`TPUSim.lookup_conv`): the future is already resolved (with
+        the :class:`~repro.errors.AuditFault` when the hit fails its
+        audit).  A miss joins the flight of an identical miss queued or
+        pricing, or opens one in the batch queue.
 
         Raises :class:`Draining` during shutdown (or on the drain rung),
         :class:`BreakerOpen` when the spec's breaker refuses,
@@ -521,61 +551,55 @@ class SimulationService:
         beacon = flight_beacon.get_beacon()
         beacon.requests += 1
         self.registry.inc_counter("repro_serve_requests_total")
-        if self.draining or self.rung >= RUNG_DRAIN:
-            self.budget.tasks += 1
-            self.budget.failed += 1
-            self.budget.count_fault("Draining")
-            raise Draining(
-                "server is draining"
-                if self.draining
-                else "server degraded to drain"
-            )
-        try:
-            self.breakers.admit(query.fingerprint)
-        except BreakerOpen:
-            self.budget.tasks += 1
-            self.budget.failed += 1
-            self.budget.count_fault("BreakerOpen")
-            self.registry.inc_counter("repro_serve_breaker_fastfail_total")
-            raise
         self.budget.tasks += 1
         future = asyncio.get_running_loop().create_future()
+        future.add_done_callback(self._count)
+        probe = None
         try:
-            result = self._sim_for(query).lookup_conv(
-                query.spec, query.group_size, query.layout
-            )
-        except Exception as err:  # a warm answer that failed its audit
-            self._charge_failure(query, err)
-            obs_log.error(
-                "serve.query_failed",
-                spec=query.spec.describe(), fingerprint=query.fingerprint,
-                error=str(err),
-            )
-            future.set_exception(err)
-        else:
+            if self.draining or self.rung >= RUNG_DRAIN:
+                raise Draining(
+                    "server is draining"
+                    if self.draining
+                    else "server degraded to drain"
+                )
+            probe = self.breakers.admit(query.fingerprint)
+            try:
+                result = self._sim_for(query).lookup_conv(
+                    query.spec, query.group_size, query.layout
+                )
+            except Exception as err:  # a warm answer that failed its audit
+                self._settle(query, [future], err=err)
+                return future
             if result is not None:
-                self.budget.succeeded += 1
-                self.breakers.record_success(query.fingerprint)
-                future.set_result(result)
-        if future.done():
-            # Registered like any admitted query, so release() stays
-            # symmetric with a concurrent request's miss on the same key.
-            self._waiters[query.key] = self._waiters.get(query.key, 0) + 1
-            return future
-        # A miss: refused on the store-only rung, else dedup, shed or queue.
-        if self.rung >= RUNG_STORE_ONLY:
-            self.breakers.release_probe(query.fingerprint)
-            self.budget.failed += 1
-            self.budget.count_fault("StoreOnlyMiss")
-            self.registry.inc_counter("repro_serve_store_only_miss_total")
-            raise StoreOnlyMiss(
-                "degraded to store-only and this spec is not warm"
-            )
-        existing = self._inflight.get(query.key)
-        if existing is not None:
-            # Identical query already in flight: same future, no new task.
+                self._settle(query, [future], result)
+                return future
+            flight = self._inflight.get(query.key)
+            if self.rung >= RUNG_STORE_ONLY:
+                raise StoreOnlyMiss(
+                    "degraded to store-only and this spec is not warm"
+                )
+            if flight is None and self.pending >= self.config.max_pending:
+                raise LoadShed(
+                    f"pending backlog {self.pending} exhausts the budget "
+                    f"({self.config.max_pending})"
+                )
+        except REFUSALS as refusal:
+            self.breakers.release_probe(query.fingerprint, probe)
+            future.set_exception(refusal)
+            raise
+        if flight is None:
+            flight = _Flight(query, probe)
+            self._inflight[query.key] = flight
+            self._queue.append(flight)
+            self._publish()
+            if self._wakeup is not None:
+                self._wakeup.set()
+        else:
+            # An identical miss is queued or pricing: ride on its flight.
             self.registry.inc_counter("repro_serve_deduped_total")
             beacon.dedup_joins += 1
+            if probe is not None:  # the flight's outcome reports for it
+                flight.probe = probe
             if query.ctx is not None:
                 # The joining request's tree records where its answer came
                 # from: an instant linking it to the in-flight computation.
@@ -583,56 +607,41 @@ class SimulationService:
                     "serve.dedup_join", cat="serve",
                     trace_id=query.ctx.trace_id, span_id=query.ctx.span_id,
                 )
-            self.budget.succeeded += 1
-            self._waiters[query.key] = self._waiters.get(query.key, 0) + 1
-            return existing
-        if self.pending >= self.config.max_pending:
-            self.breakers.release_probe(query.fingerprint)
-            self.budget.failed += 1
-            self.budget.count_fault("LoadShed")
-            self.registry.inc_counter("repro_serve_shed_total")
-            beacon.shed += 1
-            raise LoadShed(
-                f"pending backlog {self.pending} exhausts the budget "
-                f"({self.config.max_pending})"
-            )
-        self._inflight[query.key] = future
-        self._waiters[query.key] = self._waiters.get(query.key, 0) + 1
-        self._queue.append(query)
-        beacon.in_flight = self.pending
-        beacon.queue_depth = len(self._queue)
-        if self._wakeup is not None:
-            self._wakeup.set()
+        flight.futures.append(future)
+        future.add_done_callback(functools.partial(self._withdraw, flight))
         return future
 
-    def release(self, query: Query, timed_out: bool = False) -> None:
-        """One waiter is done with ``query`` (answered, failed, or gave up).
-
-        When the *last* waiter abandons a query that has not been answered
-        yet, the query is cooperatively cancelled: pulled from the batch
-        queue (so it never reaches the engine) and its future cancelled
-        (so a pricing pass already underway knows nobody is listening).
-        """
-        remaining = self._waiters.get(query.key, 0) - 1
-        if remaining > 0:
-            self._waiters[query.key] = remaining
+    def _count(self, future: asyncio.Future) -> None:
+        """Count one query's outcome when its future is done: the only
+        writer of the budget's outcomes, the :data:`FAULT_SERIES` and the
+        beacon's ``shed``.  A cancellation is its request's deadline."""
+        if future.cancelled():
+            fault = "DeadlineExceeded"
+        elif future.exception() is None:
+            self.budget.succeeded += 1
             return
-        self._waiters.pop(query.key, None)
-        if not timed_out:
-            return
-        self.registry.inc_counter("repro_serve_deadline_timeouts_total")
+        else:
+            fault = type(future.exception()).__name__
         self.budget.failed += 1
-        self.budget.count_fault("DeadlineExceeded")
-        try:
-            self._queue.remove(query)
-        except ValueError:
-            pass  # already handed to the pricer; the cancel below tells it
-        future = self._inflight.pop(query.key, None)
-        if future is not None and not future.done():
-            future.cancel()
-        beacon = flight_beacon.get_beacon()
-        beacon.in_flight = self.pending
-        beacon.queue_depth = len(self._queue)
+        self.budget.count_fault(fault)
+        if fault in FAULT_SERIES:
+            self.registry.inc_counter(FAULT_SERIES[fault])
+        if fault == "LoadShed":
+            flight_beacon.get_beacon().shed += 1
+
+    def _withdraw(self, flight: _Flight, future: asyncio.Future) -> None:
+        """A queued flight whose last waiter is cancelled leaves unpriced
+        and gives back its probe slot; one already pricing stays in
+        flight, for a later identical query to join."""
+        if (
+            future.cancelled()
+            and flight in self._queue
+            and all(f.done() for f in flight.futures)
+        ):
+            self._queue.remove(flight)
+            del self._inflight[flight.query.key]
+            self.breakers.release_probe(flight.query.fingerprint, flight.probe)
+            self._publish()
 
     # ------------------------------------------------------------ batching
     def _sim_for(self, query: Query) -> TPUSim:
@@ -671,35 +680,34 @@ class SimulationService:
                     "(--inject-faults poison=)"
                 )
 
-    def _settle(self, query: Query, result) -> None:
-        """Resolve one priced query: future, budget, breaker bookkeeping."""
-        future = self._inflight.pop(query.key, None)
-        if future is None or future.cancelled():
-            # Every waiter gave up before pricing finished: the result is
-            # cached for next time, but this spec burned engine time past
-            # its deadline — that is breaker-relevant history.
+    def _settle(
+        self, query: Query, futures: List[asyncio.Future], result=None,
+        err: Optional[BaseException] = None,
+    ) -> None:
+        """Record one breaker outcome for ``query``, then resolve the
+        futures still waiting: the fault ``err``, an overrun when none
+        still waits (engine time burned past every waiter's deadline),
+        else a success."""
+        waiting = [f for f in futures if not f.done()]
+        if err is not None:
+            obs_log.error(
+                "serve.query_failed",
+                spec=query.spec.describe(), fingerprint=query.fingerprint,
+                error=str(err),
+            )
+            self._record_breaker_failure(query, type(err).__name__, str(err))
+        elif waiting:
+            self.breakers.record_success(query.fingerprint)
+        else:
             self._record_breaker_failure(
                 query, "DeadlineExceeded",
                 "pricing outlived every waiter's deadline",
             )
-            return
-        self.budget.succeeded += 1
-        self.breakers.record_success(query.fingerprint)
-        if not future.done():
-            future.set_result(result)
-
-    def _fail(self, query: Query, err: BaseException) -> None:
-        """Fail one priced query: future, budget, breaker bookkeeping."""
-        self._charge_failure(query, err)
-        future = self._inflight.pop(query.key, None)
-        if future is not None and not future.done():
-            future.set_exception(err)
-
-    def _charge_failure(self, query: Query, err: BaseException) -> None:
-        """Charge one failed answer: budget, fault class, breaker failure."""
-        self.budget.failed += 1
-        self.budget.count_fault(type(err).__name__)
-        self._record_breaker_failure(query, type(err).__name__, str(err))
+        for future in waiting:
+            if err is None:
+                future.set_result(result)
+            else:
+                future.set_exception(err)
 
     def _record_breaker_failure(
         self, query: Query, fault: str, message: str
@@ -751,32 +759,34 @@ class SimulationService:
         except OSError as err:  # forensics must never take down serving
             obs_log.warning("serve.quarantine_write_failed", error=str(err))
 
-    async def _price_batch(self, batch: List[Query]) -> None:
+    async def _price_batch(self, batch: List[_Flight]) -> None:
         # Group by (config, group_size mode, layout): one engine call each,
-        # or one per query on the serial rung (exact attribution, no batch
+        # or one per flight on the serial rung (exact attribution, no batch
         # blast radius).
-        groups: Dict[Tuple, List[Query]] = {}
-        for query in batch:
+        groups: Dict[Tuple, List[_Flight]] = {}
+        for flight in batch:
+            query = flight.query
             group = (query.key[1], query.group_size, query.layout)
-            groups.setdefault(group, []).append(query)
-        for queries in groups.values():
+            groups.setdefault(group, []).append(flight)
+        for flights in groups.values():
             if self.rung >= RUNG_SERIAL:
-                for query in queries:
-                    await self._price_group([query])
+                for flight in flights:
+                    await self._price_group([flight])
             else:
-                await self._price_group(queries)
-            self._after_group()
+                await self._price_group(flights)
+            self._publish()
 
-    async def _price_group(self, queries: List[Query]) -> None:
-        """Price queries sharing one (config, group_size mode, layout).
+    async def _price_group(self, flights: List[_Flight]) -> None:
+        """Price flights sharing one (config, group_size mode, layout).
 
         The only code that prices queries: one ``simulate_conv_batch`` call
         under the batch's trace context, counted in the batch series, then
-        settled.  A failed group of several queries is replayed one query
+        settled.  A failed group of several flights is replayed one flight
         at a time, so the poison spec is charged to its breaker and its
         co-batched innocents are answered (the verdict discipline of the
-        DSE plane's quarantine replay); a failed single query fails alone.
+        DSE plane's quarantine replay); a failed single flight fails alone.
         """
+        queries = [flight.query for flight in flights]
         first = queries[0]
         sim = self._sim_for(first)
         specs = [q.spec for q in queries]
@@ -815,20 +825,16 @@ class SimulationService:
             else:
                 results = await loop.run_in_executor(None, _price)
         except Exception as err:
-            if len(queries) == 1:
-                self._fail(first, err)
-                obs_log.error(
-                    "serve.query_failed",
-                    spec=first.spec.describe(), fingerprint=first.fingerprint,
-                    error=str(err),
-                )
+            if len(flights) == 1:
+                del self._inflight[first.key]
+                self._settle(first, flights[0].futures, err=err)
                 return
             obs_log.warning(
                 "serve.batch_failed_serial_replay",
                 error=str(err), queries=len(queries),
             )
-            for query in queries:
-                await self._price_group([query])
+            for flight in flights:
+                await self._price_group([flight])
             return
         elapsed = time.perf_counter() - started
         # "Simulations" = fresh engine work, not queries priced: a query
@@ -839,10 +845,12 @@ class SimulationService:
             "repro_serve_simulations_total", float(performed)
         )
         self.registry.observe("repro_serve_batch_seconds", elapsed)
-        for query, result in zip(queries, results):
-            self._settle(query, result)
+        for flight, result in zip(flights, results):
+            del self._inflight[flight.query.key]
+            self._settle(flight.query, flight.futures, result)
 
-    def _after_group(self) -> None:
+    def _publish(self) -> None:
+        """Mirror the backlog into the status beacon (rate-limited write)."""
         beacon = flight_beacon.get_beacon()
         beacon.in_flight = self.pending
         beacon.queue_depth = len(self._queue)
@@ -1237,57 +1245,33 @@ class ReproServer:
             dataclasses.replace(q, ctx=ctx, deadline_at=deadline_at)
             for q in queries
         ]
-        submitted: List[Query] = []
         try:
-            futures = []
-            for query in queries:
-                futures.append(self.service.submit(query))
-                submitted.append(query)
-        except Draining as err:
-            for query in submitted:
-                self.service.release(query)
-            retry = config.retry_after_drain_s
-            return 503, _JSON, json.dumps(
-                self._error_body(str(err), retry_after_ms=int(retry * 1000))
-            ), {"Retry-After": _retry_after(retry)}
-        except StoreOnlyMiss as err:
-            for query in submitted:
-                self.service.release(query)
-            retry = config.retry_after_drain_s
-            return 503, _JSON, json.dumps(
+            futures = [self.service.submit(query) for query in queries]
+        except REFUSALS as err:
+            fields: Dict[str, Any] = {}
+            if isinstance(err, BreakerOpen):
+                status = 422
+                retry = max(0.5, err.verdict.get("retry_after_s", 0.0))
+                fields["verdict"] = err.verdict
+            elif isinstance(err, LoadShed):
+                status, retry = 429, config.retry_after_shed_s
+            else:
+                status, retry = 503, config.retry_after_drain_s
+                if isinstance(err, StoreOnlyMiss):
+                    fields["rung"] = self.service.rung_name
+            return status, _JSON, json.dumps(
                 self._error_body(
-                    str(err), rung=self.service.rung_name,
-                    retry_after_ms=int(retry * 1000),
-                )
-            ), {"Retry-After": _retry_after(retry)}
-        except LoadShed as err:
-            for query in submitted:
-                self.service.release(query)
-            retry = config.retry_after_shed_s
-            return 429, _JSON, json.dumps(
-                self._error_body(str(err), retry_after_ms=int(retry * 1000))
-            ), {"Retry-After": _retry_after(retry)}
-        except BreakerOpen as err:
-            for query in submitted:
-                self.service.release(query)
-            retry = max(0.5, err.verdict.get("retry_after_s", 0.0))
-            return 422, _JSON, json.dumps(
-                self._error_body(
-                    str(err), verdict=err.verdict,
-                    retry_after_ms=int(retry * 1000),
+                    str(err), retry_after_ms=int(retry * 1000), **fields
                 ), sort_keys=True,
             ), {"Retry-After": _retry_after(retry)}
         try:
-            remaining = deadline_at - time.monotonic()
+            # On a timeout the gather cancels exactly the queries still
+            # unanswered: that cancellation is their deadline charge.
             results = await asyncio.wait_for(
-                asyncio.gather(*(asyncio.shield(f) for f in futures)),
-                timeout=max(0.001, remaining),
+                asyncio.gather(*futures),
+                timeout=max(0.001, deadline_at - time.monotonic()),
             )
         except asyncio.TimeoutError:
-            # Only a query still unanswered timed out; an answered one in
-            # the same request is released like a success.
-            for query, future in zip(queries, futures):
-                self.service.release(query, timed_out=not future.done())
             retry = config.retry_after_shed_s
             return 504, _JSON, json.dumps(
                 self._error_body(
@@ -1295,26 +1279,10 @@ class ReproServer:
                     retry_after_ms=int(retry * 1000),
                 )
             ), {"Retry-After": _retry_after(retry)}
-        except asyncio.CancelledError:
-            # Another request's abandonment cancelled a shared future from
-            # under us — answer this waiter honestly rather than unwinding.
-            for query, future in zip(queries, futures):
-                self.service.release(query, timed_out=not future.done())
-            retry = config.retry_after_shed_s
-            return 504, _JSON, json.dumps(
-                self._error_body(
-                    "shared computation was cancelled past its deadline",
-                    retry_after_ms=int(retry * 1000),
-                )
-            ), {"Retry-After": _retry_after(retry)}
         except Exception as err:
-            for query in queries:
-                self.service.release(query)
             return 500, _JSON, json.dumps(
                 self._error_body(f"{type(err).__name__}: {err}")
             ), {}
-        for query in queries:
-            self.service.release(query)
         # End-to-end latency is observed per route in _handle_connection;
         # a second unlabeled observation here would double-count requests.
         answers = [result_payload(q, r) for q, r in zip(queries, results)]
@@ -1613,7 +1581,7 @@ def serve(args: argparse.Namespace) -> int:
 
     # Refused here, before the listener opens or any worker forks: a
     # worker can only die of a bad setting, and the supervisor respawns it.
-    for bad, message in (  # each leaves a daemon that answers nothing
+    for bad, message in (  # each breaks the daemon by construction
         (args.workers < 1, f"--workers must be at least 1, got {args.workers}"),
         (args.max_batch < 1,
          f"--max-batch must be at least 1, got {args.max_batch}"),
@@ -1622,6 +1590,19 @@ def serve(args: argparse.Namespace) -> int:
         (not args.default_deadline_ms > 0,
          f"--default-deadline-ms must be positive, "
          f"got {args.default_deadline_ms}"),
+        # Each test is "not good", so NaN, which fails every comparison,
+        # is refused too: it never sleeps out a batch window, never
+        # breaches an SLO, and cools a breaker down at once.
+        (not (math.isfinite(args.batch_window) and args.batch_window >= 0),
+         f"--batch-window must be finite and at least 0, "
+         f"got {args.batch_window}"),
+        (not args.slo_p99_ms > 0,
+         f"--slo-p99-ms must be positive, got {args.slo_p99_ms}"),
+        (not args.slo_error_ratio >= 0,
+         f"--slo-error-ratio must be at least 0, got {args.slo_error_ratio}"),
+        (not args.breaker_cooldown >= 0,
+         f"--breaker-cooldown must be at least 0, "
+         f"got {args.breaker_cooldown}"),
     ):
         if bad:
             print(f"error: {message}", file=sys.stderr)

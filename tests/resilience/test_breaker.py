@@ -138,3 +138,26 @@ def test_registry_evicts_stalest_closed_breaker_first():
     registry.record_failure("fresh", "AuditFault", "x")  # forces eviction
     assert "stale-closed" not in registry._breakers
     assert "open-key" in registry._breakers  # open verdicts are kept
+
+
+def test_probe_slot_frees_only_its_own_half_open_period():
+    clock = FakeClock()
+    registry = BreakerRegistry(
+        BreakerPolicy(threshold=1, cooldown_s=10.0), clock=clock
+    )
+    registry.record_failure("k", "AuditFault", "boom")  # trips
+    clock.advance(10.0)
+    slot = registry.admit("k")  # the half-open probe
+    assert slot is not None
+    with pytest.raises(BreakerOpen):
+        registry.admit("k")
+    registry.release_probe("k", slot)  # e.g. withdrawn before pricing
+    assert registry.admit("k") == slot  # the next request is the probe
+    assert registry.record_failure("k", "AuditFault", "again")  # reopens
+    clock.advance(10.0)
+    assert registry.admit("k") not in (None, slot)  # a new period's probe
+    registry.release_probe("k", slot)  # stale: frees nothing
+    with pytest.raises(BreakerOpen):
+        registry.admit("k")
+    registry.record_success("k")
+    assert registry.admit("k") is None  # closed

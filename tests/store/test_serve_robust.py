@@ -140,7 +140,6 @@ def test_blown_deadline_answers_504_and_cancels_the_work():
             # and the in-flight table — no engine time will be spent on it.
             assert service._queue == []
             assert service._inflight == {}
-            assert service._waiters == {}
             assert service.budget.faults_by_class.get("DeadlineExceeded") == 1
             assert (
                 service.registry.counters["repro_serve_deadline_timeouts_total"]

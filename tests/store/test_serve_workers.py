@@ -172,13 +172,20 @@ def test_bad_inject_faults_spec_exits_2_before_forking(tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--workers", "0"), ("--max-batch", "0"), ("--max-pending", "0"),
-     ("--default-deadline-ms", "0")],
+     ("--default-deadline-ms", "0"), ("--batch-window", "nan"),
+     ("--batch-window", "inf"), ("--batch-window", "-1.0"),
+     ("--slo-p99-ms", "0.0"), ("--slo-p99-ms", "-1.0"),
+     ("--slo-p99-ms", "nan"), ("--slo-error-ratio", "-1.0"),
+     ("--slo-error-ratio", "nan"), ("--breaker-cooldown", "-1.0"),
+     ("--breaker-cooldown", "nan")],
 )
 def test_setting_that_answers_nothing_exits_2_before_forking(
     tmp_path, flag, value
 ):
-    # Each would leave a daemon that prices nothing, sheds every query or
-    # times every query out; like a bad plan, it is refused before forking.
+    # Each would leave a daemon that prices nothing, sheds every query,
+    # times every query out, escalates a healthy daemon to refusing every
+    # miss, never escalates, or half-opens a tripped breaker at once; like
+    # a bad plan, it is refused before forking.
     rc, out, err = _run_refused(tmp_path, flag, value)
     assert rc == 2, err
     errors = [line for line in err.splitlines() if line.startswith("error:")]

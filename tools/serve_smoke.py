@@ -3,7 +3,9 @@
 Boots the daemon as a subprocess on an ephemeral port with a tmpdir
 persistent store, issues one conv-timing query plus the same query again
 (which must be served without a new simulation and without a batch — a
-warm hit is answered at admission, never queued),
+warm hit is answered at admission, never queued), then a batch of two
+identical cold queries under a 1 ms deadline (a 504 that charges each
+query one ``DeadlineExceeded``, with the budget still balanced),
 schema-checks ``/healthz`` and ``/statusz``, checks ``/metrics`` exposes
 the serve counters (including the per-route latency histogram) and that
 responses carry ``X-Repro-Run-Id``/``X-Repro-Trace-Id``, then shuts the
@@ -37,6 +39,15 @@ QUERY = {
         "n": 8, "c_in": 128, "h_in": 28, "w_in": 28,
         "c_out": 128, "h_filter": 3, "w_filter": 3,
         "stride": 1, "padding": 1, "name": "smoke",
+    }
+}
+
+#: Cold until the deadline check: no other step queries this shape.
+DEADLINE_QUERY = {
+    "spec": {
+        "n": 1, "c_in": 64, "h_in": 14, "w_in": 14,
+        "c_out": 96, "h_filter": 3, "w_filter": 3,
+        "stride": 1, "padding": 1, "name": "smoke-deadline",
     }
 }
 
@@ -145,6 +156,34 @@ async def exercise(port: int) -> None:
         f"serve-smoke: 2 queries, 1 simulation, 1 batch, "
         f"/healthz+/readyz+/statusz schema ok, /metrics ok (port {port})"
     )
+    await check_deadline_ledger(port)
+
+
+async def check_deadline_ledger(port: int) -> None:
+    """Two identical cold queries that blow a 1 ms deadline are two
+    queries charged a deadline each, and the budget still balances."""
+    _, before = await http_request("127.0.0.1", port, "GET", "/healthz")
+    before = check_json_doc("/healthz", before, {"budget": dict})["budget"]
+    status, body = await http_request(
+        "127.0.0.1", port, "POST", "/v1/conv/batch",
+        {"queries": [DEADLINE_QUERY, DEADLINE_QUERY]},
+        headers={"X-Repro-Deadline-Ms": "1"},
+    )
+    assert status == 504, (status, body)
+    _, after = await http_request("127.0.0.1", port, "GET", "/healthz")
+    budget = check_json_doc("/healthz", after, {"budget": dict})["budget"]
+    assert budget["failed"] - before["failed"] == 2, (before, budget)
+    assert budget["faults_by_class"].get("DeadlineExceeded") == 2, budget
+    assert budget["tasks"] == budget["succeeded"] + budget["failed"], budget
+    _, metrics = await http_request("127.0.0.1", port, "GET", "/metrics")
+    timeouts = re.search(
+        r"^repro_serve_deadline_timeouts_total (\S+)$", metrics, re.MULTILINE
+    )
+    assert timeouts and float(timeouts.group(1)) == 2, (
+        f"each timed-out query is one deadline timeout: "
+        f"{timeouts and timeouts.group(0)}"
+    )
+    print("serve-smoke: 504 batch of 2 identical queries charged 2 deadlines")
 
 
 def main() -> int:
