@@ -1,4 +1,4 @@
-.PHONY: install test test-fast bench bench-figures profile experiments export examples api-doc cli-surface goldens sentinel bench-history fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke ci all
+.PHONY: install test test-fast bench bench-figures profile experiments export examples api-doc cli-surface goldens sentinel bench-history fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke results-check ci all
 
 export PYTHONPATH := src
 
@@ -28,6 +28,11 @@ experiments:
 
 export:
 	python -m repro.harness.runner --export-dir results
+
+# A fresh export must equal the committed results/ byte for byte.
+results-check:
+	out=$$(mktemp -d) && python -m repro.harness.runner --export-dir "$$out/results" > /dev/null \
+		&& diff -r -x README.md results "$$out/results"; status=$$?; rm -rf "$$out"; exit $$status
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done; echo "all examples OK"
@@ -77,6 +82,7 @@ report-smoke:
 ci:
 	python -m pytest -x -q -m "not goldens" tests/
 	python -m pytest -q -m goldens tests/
+	$(MAKE) results-check
 	python tools/check_regression.py
 	python tools/fault_smoke.py
 	$(MAKE) audit-smoke

@@ -104,6 +104,10 @@ class ConvSpec:
     Parameters mirror the paper's notation.  ``stride``/``padding``/
     ``dilation`` apply to both spatial axes (the paper only evaluates square
     cases, but the geometry here is exact for rectangular inputs/filters).
+
+    The output extents ``h_out``/``w_out`` are plain attributes set once at
+    construction, not dataclass fields: equality, hashing, ``repr``, cache
+    fingerprints and the store codec see only the fields above.
     """
 
     n: int  # batch
@@ -123,15 +127,16 @@ class ConvSpec:
             value = getattr(self, field)
             if value <= 0:
                 raise ConfigError("must be positive", field=field, value=value)
-        # Raises if the filter does not fit; validates stride/pad/dilation too.
-        # Non-fit errors are re-raised naming the offending output axis, its
-        # (non-positive) derived extent, and the full derived OFMap shape.
+        # Sets h_out/w_out.  Raises if the filter does not fit; validates
+        # stride/pad/dilation too.  Non-fit errors are re-raised naming the
+        # offending output axis, its (non-positive) derived extent, and the
+        # full derived OFMap shape.
         for axis_field, in_extent, filt in (
             ("h_out", self.h_in, self.h_filter),
             ("w_out", self.w_in, self.w_filter),
         ):
             try:
-                output_extent(
+                extent = output_extent(
                     in_extent, filt, self.stride, self.padding, self.dilation
                 )
             except ConfigError as err:
@@ -155,16 +160,9 @@ class ConvSpec:
                     field=axis_field,
                     value=derived,
                 ) from None
+            object.__setattr__(self, axis_field, extent)
 
     # ---------------------------------------------------------------- shapes
-    @property
-    def h_out(self) -> int:
-        return output_extent(self.h_in, self.h_filter, self.stride, self.padding, self.dilation)
-
-    @property
-    def w_out(self) -> int:
-        return output_extent(self.w_in, self.w_filter, self.stride, self.padding, self.dilation)
-
     @property
     def ifmap_shape(self) -> Tuple[int, int, int, int]:
         """NCHW shape of the input."""

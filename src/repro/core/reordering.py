@@ -45,6 +45,15 @@ def tile_working_set(spec: ConvSpec, tile: DecomposedFilter) -> Set[Tuple[int, i
     return coords
 
 
+def _axis_shared(delta: int, stride: int, out_extent: int) -> int:
+    # Tap positions along one axis: {origin + i*stride}.  Shifted lattices
+    # intersect only if delta is a multiple of stride; then the overlap is
+    # out_extent - |delta|/stride grid points (clamped at 0).
+    if delta % stride != 0:
+        return 0
+    return max(0, out_extent - abs(delta) // stride)
+
+
 def overlap_fraction(spec: ConvSpec, a: DecomposedFilter, b: DecomposedFilter) -> float:
     """|WS(a) ∩ WS(b)| / |WS(a)| — fraction of a's working set reusable when
     b was the previous tile (working sets are equal-sized, so symmetric).
@@ -53,20 +62,9 @@ def overlap_fraction(spec: ConvSpec, a: DecomposedFilter, b: DecomposedFilter) -
     lattice shifted by ``(dr*dilation, ds*dilation)``; taps coincide exactly
     where the shift is a multiple of the stride and the grids overlap.
     """
-    dy = (b.r - a.r) * spec.dilation
-    dx = (b.s - a.s) * spec.dilation
-    total = spec.h_out * spec.w_out
-
-    def _axis_shared(delta: int, out_extent: int) -> int:
-        # Tap positions along one axis: {origin + i*stride}.  Shifted lattices
-        # intersect only if delta is a multiple of stride; then the overlap is
-        # out_extent - |delta|/stride grid points (clamped at 0).
-        if delta % spec.stride != 0:
-            return 0
-        return max(0, out_extent - abs(delta) // spec.stride)
-
-    shared = _axis_shared(dy, spec.h_out) * _axis_shared(dx, spec.w_out)
-    return shared / total
+    rows = _axis_shared((b.r - a.r) * spec.dilation, spec.stride, spec.h_out)
+    cols = _axis_shared((b.s - a.s) * spec.dilation, spec.stride, spec.w_out)
+    return rows * cols / (spec.h_out * spec.w_out)
 
 
 def pairwise_overlap(spec: ConvSpec) -> Dict[Tuple[int, int], float]:
@@ -84,25 +82,32 @@ def greedy_reuse_order(spec: ConvSpec) -> List[DecomposedFilter]:
     """Visit order maximising consecutive working-set overlap, greedily.
 
     Starts at tile ``<1,1>`` and repeatedly moves to the unvisited tile with
-    the largest overlap with the current one (ties broken by index, keeping
-    the order deterministic).  The paper leaves optimal reordering to future
+    the largest overlap with the current one (ties broken by the lowest
+    index, keeping the order deterministic).  A candidate's overlap is read
+    as the product of two per-axis shared-tap tables built once per spec:
+    the numerator of :func:`overlap_fraction`, whose denominator is the same
+    for every candidate.  The paper leaves optimal reordering to future
     work; greedy already captures the win it reports (Fig 18b).
     """
-    tiles = decompose(spec)
-    if len(tiles) == 1:
-        return tiles
-    by_index = {t.index: t for t in tiles}
-    remaining = set(by_index) - {0}
-    order = [by_index[0]]
-    current = 0
+
+    def shared_taps(taps: int, out_extent: int) -> List[List[int]]:
+        return [
+            [_axis_shared((j - i) * spec.dilation, spec.stride, out_extent)
+             for j in range(taps)]
+            for i in range(taps)
+        ]
+
+    rows = shared_taps(spec.h_filter, spec.h_out)
+    cols = shared_taps(spec.w_filter, spec.w_out)
+    remaining = decompose(spec)  # ascending index: max() keeps the lowest
+    order = [remaining.pop(0)]
     while remaining:
+        row, col = rows[order[-1].r], cols[order[-1].s]
         best = max(
-            sorted(remaining),
-            key=lambda idx: overlap_fraction(spec, by_index[current], by_index[idx]),
+            range(len(remaining)),
+            key=lambda i: row[remaining[i].r] * col[remaining[i].s],
         )
-        order.append(by_index[best])
-        remaining.discard(best)
-        current = best
+        order.append(remaining.pop(best))
     return order
 
 

@@ -79,16 +79,18 @@ def prune_positions(
 
     Returns the pruned weights (zeros at dropped positions) and the mask.
     The centre-heavy norm distribution of trained CNNs makes this the
-    standard structured-pruning baseline.
+    standard structured-pruning baseline.  Positions are ranked by their
+    squared norms, accumulated in float64 without a float64 copy of the
+    weights; for integer-valued weights the sums are exact, so the ranking
+    is the one the norms give.
     """
     if weights.shape != spec.filter_shape:
         raise ValueError(f"weights shape {weights.shape} != {spec.filter_shape}")
     if not (1 <= keep <= spec.positions):
         raise ValueError(f"keep must be in [1, {spec.positions}], got {keep}")
-    norms = np.linalg.norm(
-        weights.reshape(spec.c_out * spec.c_in, spec.positions).astype(np.float64), axis=0
-    )
-    kept = tuple(sorted(np.argsort(norms)[-keep:].tolist()))
+    rows = weights.reshape(spec.c_out * spec.c_in, spec.positions)
+    squares = np.einsum("ij,ij->j", rows, rows, dtype=np.float64)
+    kept = tuple(sorted(np.argsort(squares)[-keep:].tolist()))
     mask = PositionMask(spec=spec, kept=kept)
     return apply_mask_to_weights(weights, mask), mask
 

@@ -282,8 +282,6 @@ class Query:
     ctx: Optional[trace_context.TraceContext] = dataclasses.field(
         default=None, compare=False
     )
-    #: Absolute monotonic deadline of the *request* that carried it.
-    deadline_at: Optional[float] = dataclasses.field(default=None, compare=False)
 
     @classmethod
     def parse(cls, payload: Any) -> "Query":
@@ -443,6 +441,8 @@ class SimulationService:
         self._inflight: Dict[Tuple, _Flight] = {}
         self._queue: List[_Flight] = []
         self._wakeup: Optional[asyncio.Event] = None
+        #: Set by :meth:`_publish` whenever the backlog is empty.
+        self._idle: Optional[asyncio.Event] = None
         self._batcher: Optional[asyncio.Task] = None
         self._watchdog: Optional[asyncio.Task] = None
         self._samples: Deque[Tuple[float, float, bool]] = deque(
@@ -453,6 +453,7 @@ class SimulationService:
     # ----------------------------------------------------------- lifecycle
     async def start(self) -> None:
         self._wakeup = asyncio.Event()
+        self._idle = asyncio.Event()
         self._batcher = asyncio.create_task(self._batch_loop())
         if self.config.watchdog:
             self._watchdog = asyncio.create_task(self._watchdog_loop())
@@ -461,9 +462,8 @@ class SimulationService:
         """Stop admitting, finish every queued/in-flight query, stop."""
         self.draining = True
         while self._queue or self._inflight:
-            if self._wakeup is not None:
-                self._wakeup.set()
-            await asyncio.sleep(self.config.batch_window_s)
+            self._idle.clear()
+            await self._idle.wait()
         for task_attr in ("_batcher", "_watchdog"):
             task = getattr(self, task_attr)
             if task is not None:
@@ -850,11 +850,14 @@ class SimulationService:
             self._settle(flight.query, flight.futures, result)
 
     def _publish(self) -> None:
-        """Mirror the backlog into the status beacon (rate-limited write)."""
+        """Mirror the backlog into the status beacon (rate-limited write),
+        and wake :meth:`drain` once the backlog is empty."""
         beacon = flight_beacon.get_beacon()
         beacon.in_flight = self.pending
         beacon.queue_depth = len(self._queue)
         beacon.maybe_write()
+        if not (self._queue or self._inflight) and self._idle is not None:
+            self._idle.set()
 
 
 #: Paths with their own latency-histogram label; anything else is "other"
@@ -1241,10 +1244,7 @@ class ReproServer:
                 queries = [Query.parse(payload)]
         except BadRequest as err:
             return 400, _JSON, json.dumps(self._error_body(str(err))), {}
-        queries = [
-            dataclasses.replace(q, ctx=ctx, deadline_at=deadline_at)
-            for q in queries
-        ]
+        queries = [dataclasses.replace(q, ctx=ctx) for q in queries]
         try:
             futures = [self.service.submit(query) for query in queries]
         except REFUSALS as err:

@@ -1,10 +1,14 @@
 """Geometry and accounting of ConvSpec/GemmShape."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
 from repro.core import ConvSpec, GemmShape, output_extent
+from repro.perf.cache import fingerprint, spec_key
+from repro.store.codec import decode_value, encode_value
 
 
 class TestOutputExtent:
@@ -126,3 +130,46 @@ class TestConvSpec:
     def test_is_pointwise(self, pointwise_spec, small_spec):
         assert pointwise_spec.is_pointwise()
         assert not small_spec.is_pointwise()
+
+
+class TestOutputExtentAttributes:
+    """``h_out``/``w_out`` are attributes set at construction, not fields."""
+
+    SPEC = ConvSpec(n=2, c_in=3, h_in=11, w_in=8, c_out=4, h_filter=3,
+                    w_filter=2, stride=2, padding=1, dilation=2, name="extents")
+    FIELDS = (2, 3, 11, 8, 4, 3, 2, 2, 1, 2)
+
+    @staticmethod
+    def _extents(spec):
+        return (spec.h_out, spec.w_out)
+
+    def test_extents_are_the_output_extent_of_each_axis(self):
+        s = self.SPEC
+        assert self._extents(s) == (
+            output_extent(s.h_in, s.h_filter, s.stride, s.padding, s.dilation),
+            output_extent(s.w_in, s.w_filter, s.stride, s.padding, s.dilation),
+        ) == (5, 4)
+
+    def test_extents_are_not_dataclass_fields(self):
+        names = {f.name for f in dataclasses.fields(ConvSpec)}
+        assert not names & {"h_out", "w_out"}
+        assert "h_out" not in repr(self.SPEC)
+
+    def test_keys_see_only_the_fields(self):
+        assert spec_key(self.SPEC) == ("ConvSpec",) + self.FIELDS
+        assert fingerprint(self.SPEC) == ("ConvSpec",) + self.FIELDS + ("extents",)
+        assert set(encode_value(self.SPEC)["fields"]) == {
+            f.name for f in dataclasses.fields(ConvSpec)
+        }
+
+    def test_extents_survive_replace(self):
+        wider = dataclasses.replace(self.SPEC, w_in=16)
+        assert self._extents(wider) == (5, 8)
+        assert self._extents(dataclasses.replace(self.SPEC)) == (5, 4)
+
+    def test_extents_survive_pickle_and_the_store_codec(self):
+        for copy in (pickle.loads(pickle.dumps(self.SPEC)),
+                     decode_value(encode_value(self.SPEC))):
+            assert copy == self.SPEC and hash(copy) == hash(self.SPEC)
+            assert self._extents(copy) == (5, 4)
+            assert spec_key(copy) == spec_key(self.SPEC)

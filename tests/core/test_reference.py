@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import ConvSpec, direct_conv2d, gemm, random_conv_operands
-from repro.core.reference import pad_ifmap
+from repro.core.reference import pad_ifmap, random_conv_weights
+from repro.harness.experiments.sparsity import STUDY_LAYER
+from repro.workloads.networks import vgg16
 
 
 def naive_conv(ifmap, weights, spec):
@@ -92,3 +94,38 @@ def test_random_operands_small_integers(small_spec):
     ifmap, weights = random_conv_operands(small_spec)
     assert np.all(np.abs(ifmap) <= 4) and np.all(np.abs(weights) <= 4)
     assert ifmap.dtype == np.float32
+
+
+def _sparsity_study_pairs():
+    """The (spec, seed) pairs the sparsity study draws weights for: its
+    sweep layer at seed 17, and each distinct 3x3 VGG16 batch-8 layer at
+    seed ``c_in`` (the study's own dedup key)."""
+    pairs = {(STUDY_LAYER.ifmap_shape, STUDY_LAYER.filter_shape, 17): STUDY_LAYER}
+    for layer in vgg16(batch=8):
+        if layer.positions == 9:
+            pairs.setdefault((layer.ifmap_shape, layer.filter_shape, layer.c_in), layer)
+    return [(spec, key[2]) for key, spec in pairs.items()]
+
+
+def test_random_weights_skip_the_ifmap_exactly_for_the_sparsity_study():
+    # The skip advances the generator instead of drawing the IFMap; it is
+    # exact only while no skipped draw hits Lemire rejection, so it is pinned
+    # against the full draw for every pair the study uses.
+    pairs = _sparsity_study_pairs()
+    assert len(pairs) == 10
+    for spec, seed in pairs:
+        expected = random_conv_operands(spec, seed)[1]
+        assert np.array_equal(random_conv_weights(spec, seed), expected), spec.name
+
+
+@pytest.mark.parametrize("ifmap", [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 3, 3),
+                                   (1, 2, 3, 3), (1, 3, 5, 5), (2, 3, 4, 4),
+                                   (3, 1, 5, 7), (2, 5, 7, 9)])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_random_weights_skip_odd_and_even_ifmaps(ifmap, seed):
+    n, c_in, h_in, w_in = ifmap
+    spec = ConvSpec(n=n, c_in=c_in, h_in=h_in, w_in=w_in, c_out=3,
+                    h_filter=1, w_filter=1)
+    weights = random_conv_weights(spec, seed)
+    assert weights.dtype == np.float32
+    assert np.array_equal(weights, random_conv_operands(spec, seed)[1])

@@ -11,6 +11,7 @@ from repro.core import (
     pairwise_overlap,
     tile_working_set,
 )
+from repro.errors import ConfigError
 
 
 def brute_overlap(spec, a, b):
@@ -113,3 +114,45 @@ def test_working_set_size(small_spec):
     tiles = decompose(small_spec)
     ws = tile_working_set(small_spec, tiles[0])
     assert len(ws) == small_spec.h_out * small_spec.w_out
+
+
+def _reference_greedy(spec):
+    """The greedy walk as first written: one ``overlap_fraction`` call per
+    candidate per step, candidates in ascending index order."""
+    by_index = {t.index: t for t in decompose(spec)}
+    remaining = set(by_index) - {0}
+    order, current = [by_index[0]], 0
+    while remaining:
+        current = max(
+            sorted(remaining),
+            key=lambda i: overlap_fraction(spec, by_index[current], by_index[i]),
+        )
+        order.append(by_index[current])
+        remaining.discard(current)
+    return order
+
+
+def _geometry_grid():
+    """Stride 1-4, dilation 1-2, padding 0-3, square and rectangular
+    filters up to 11x11 (strides above the filter included) on a
+    rectangular IFMap; combinations whose filter does not fit are skipped."""
+    filters = ((1, 1), (1, 3), (3, 1), (2, 5), (3, 3), (5, 5), (7, 3), (4, 9), (11, 11))
+    for h_filter, w_filter in filters:
+        for stride in (1, 2, 3, 4):
+            for dilation in (1, 2):
+                for padding in (0, 1, 2, 3):
+                    try:
+                        yield ConvSpec(n=1, c_in=1, h_in=23, w_in=19, c_out=1,
+                                       h_filter=h_filter, w_filter=w_filter,
+                                       stride=stride, padding=padding,
+                                       dilation=dilation)
+                    except ConfigError:
+                        continue
+
+
+def test_greedy_order_matches_the_overlap_fraction_walk():
+    specs = list(_geometry_grid())
+    assert len(specs) > 250
+    assert any(s.stride > max(s.h_filter, s.w_filter) for s in specs)
+    for spec in specs:
+        assert greedy_reuse_order(spec) == _reference_greedy(spec), spec.describe()

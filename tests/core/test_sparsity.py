@@ -42,6 +42,19 @@ class TestPruning:
         _, mask = prune_positions(weights, small_spec, keep=1)
         assert mask.kept == (4,)  # the centre
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ranks_positions_as_their_l2_norms_do(self, small_spec, dtype):
+        # The reference ranking: L2 norms of a float64 copy.  Integer-valued
+        # weights make both sums exact, ties included.
+        for seed in range(20):
+            _, weights = random_conv_operands(small_spec, seed=seed, dtype=dtype)
+            norms = np.linalg.norm(
+                weights.reshape(-1, small_spec.positions).astype(np.float64), axis=0
+            )
+            for keep in range(1, small_spec.positions + 1):
+                _, mask = prune_positions(weights, small_spec, keep)
+                assert mask.kept == tuple(sorted(np.argsort(norms)[-keep:].tolist()))
+
     def test_pruned_weights_zeroed(self, small_spec):
         _, weights = random_conv_operands(small_spec, seed=2)
         pruned, mask = prune_positions(weights, small_spec, keep=3)

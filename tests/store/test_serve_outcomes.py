@@ -7,8 +7,9 @@ future is done.  A distinct miss is one flight: the futures waiting on it
 and the half-open breaker slot its first query took, priced and settled
 as an object.  These tests drive real sockets and pin that ledger: a
 joiner shares its flight's failure, a timed-out waiter is charged while
-another still waits, a withdrawn probe gives its slot back, and a query
-arriving while an abandoned miss is pricing joins that pricing.
+another still waits, a withdrawn probe gives its slot back, a query
+arriving while an abandoned miss is pricing joins that pricing, and a
+drain waits for the last flight without polling.
 """
 
 import asyncio
@@ -275,3 +276,28 @@ def test_every_outcome_is_counted_once_and_the_counts_agree():
         assert counters.get(series, 0) == budget.faults_by_class[fault], fault
     assert beacon_mod.get_beacon().shed == budget.faults_by_class["LoadShed"]
     assert counters["repro_serve_requests_total"] == budget.tasks
+
+
+def test_a_drain_waits_for_its_last_flight_without_spinning(monkeypatch):
+    _slow_pricing(monkeypatch, seconds=0.5)
+
+    async def scenario():
+        service, server, host, port = await _boot(batch_window_s=0.0)
+        try:
+            request = asyncio.ensure_future(
+                http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
+            )
+            await _until_pending(service, 1)
+            started = time.process_time()
+            await service.drain()
+            cpu_s = time.process_time() - started
+            pending = service.pending
+            status, body = await request
+        finally:
+            await server.shutdown()
+        return cpu_s, pending, status, body
+
+    cpu_s, pending, status, body = asyncio.run(scenario())
+    assert pending == 0
+    assert status == 200 and body["cycles"] > 0
+    assert cpu_s < 0.1  # the flight sleeps 0.5 s: a poll would burn it
