@@ -59,7 +59,7 @@ fault-smoke:
 	python tools/fault_smoke.py
 
 audit-smoke:
-	python -m repro run fig13 design_space_plus sparsity batch_sweep extensions ablations --audit full
+	python -m repro run fig13 design_space_plus sparsity batch_sweep extensions ablations fig2 fig4 fig17 fig18 --audit full
 
 fuzz-smoke:
 	python -m repro fuzz --specs 200 --seed 0 --no-corpus

@@ -23,7 +23,7 @@ reference fold, so it has nothing to differ from:
   the reference fold (isolates executor drift from builder drift);
 - ``diff.cache-coherence`` — the served (possibly memoized) result must
   equal the fresh recomputation, so a stale or corrupted cache entry is
-  caught the moment it is used.
+  caught the moment it is used (the GPU kernels' only check: :func:`verify_kernel`).
 
 Each perf-cache fingerprint is verified **once** per process (the
 auditor keeps a ``verified_keys`` set), so the memoized fast path stays
@@ -40,13 +40,14 @@ the snapshot and as a trace instant, never silent.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Callable, List, Tuple
 
 from ..trace import tracer as _trace
 from . import auditor as _auditor
 from .invariants import fingerprint_context
 
-__all__ = ["DIFFERENTIAL_ITEM_CAP", "verify_layer"]
+__all__ = ["DIFFERENTIAL_ITEM_CAP", "verify_kernel", "verify_layer"]
 
 #: Schedules with more work items than this skip the per-item reference
 #: re-runs (counted, never silent).  1024 items ≈ a millisecond of
@@ -171,4 +172,19 @@ def verify_layer(
             actual=served,
             message="memoized layer result disagrees with a fresh recomputation",
             context=context,
+        )
+
+
+def verify_kernel(key: Tuple, served, fresh: Callable[[], Any], spec, config) -> None:
+    """``diff.cache-coherence`` for one GPU kernel value, once per key: the
+    served value must equal ``fresh()``, a new call of the same model."""
+    verified = _auditor.get_auditor().verified_keys
+    if key not in verified:
+        verified.add(key)
+        recomputed = fresh()
+        _auditor.check(
+            "diff.cache-coherence", served == recomputed,
+            expected=dataclasses.asdict(recomputed), actual=dataclasses.asdict(served),
+            message="memoized kernel time disagrees with a fresh recomputation",
+            context=fingerprint_context(spec, config),
         )

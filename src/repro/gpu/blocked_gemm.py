@@ -12,10 +12,16 @@ memory = DRAM traffic / sustained bandwidth.  The conv paths reuse
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Any, Callable
 
 from ..audit import auditor as _audit
-from ..core.conv_spec import GemmShape
-from ..perf.cache import memoized_model
+from ..audit import differential as audit_differential
+from ..audit import invariants as audit_invariants
+from ..core.conv_spec import ConvSpec, GemmShape
+from ..perf.cache import SIM_CACHE, config_key, spec_key
+from ..trace import metrics as trace_metrics
+from ..trace import tracer as trace
 from .config import GPUConfig
 from .shared_memory import (
     gemm_a_traffic_bytes,
@@ -83,7 +89,7 @@ def kernel_time(
         + staged_bytes / config.staging_bandwidth_bps
     )
     seconds = max(compute.seconds, memory_seconds) + config.kernel_overhead_s
-    result = KernelTime(
+    return KernelTime(
         name=name,
         seconds=seconds,
         compute_seconds=compute.seconds,
@@ -91,20 +97,45 @@ def kernel_time(
         traffic_bytes=traffic_bytes + staged_bytes,
         macs=macs if macs is not None else m * k * n,
     )
+
+
+def price_kernel(
+    source: str, model: Callable, problem: Any, config: GPUConfig, *args: Any,
+    check: Callable = audit_invariants.check_gpu_kernel, publish: Callable = None,
+) -> Any:
+    """The tail every GPU answer runs: memo, audit, publish, record.
+
+    ``model(problem, config, *args)`` runs on a memo miss only, keyed without
+    the problem's name (:func:`spec_key`).  Hits are audited like misses:
+    ``check(value, config)``, plus ``diff.cache-coherence`` once per key at
+    ``--audit full``.  ``publish`` derives the answer from the audited value
+    (the cuDNN stand-in's noise); it is recorded under ``source``.
+    """
+    key = (source, config_key(config), spec_key(problem)) + args
+    compute = functools.partial(model, problem, config, *args)
+    label = problem.describe() if isinstance(problem, ConvSpec) else repr(problem)
+    with trace.span(f"{source}.time", layer=label):
+        value = SIM_CACHE.get_or_compute(key, compute)
     if _audit.enabled():
-        from ..audit import invariants as audit_invariants
+        check(value, config)
+        if _audit.full():
+            audit_differential.verify_kernel(key, value, compute, problem, config)
+    if publish is not None:
+        value = publish(value)
+    trace_metrics.record_kernel(source, label, value.seconds, value.tflops)
+    return value
 
-        audit_invariants.check_gpu_kernel(result, config)
-    return result
 
-
-@memoized_model
-def gemm_kernel_time(shape: GemmShape, config: GPUConfig, name: str = "gemm") -> KernelTime:
-    """A plain DRAM-resident GEMM — the "GEMM-only" reference of Fig 4a and
-    the compute half of the explicit-im2col path."""
+def _gemm_kernel(shape: GemmShape, config: GPUConfig, name: str) -> KernelTime:
     traffic = (
         gemm_a_traffic_bytes(shape.m, shape.k, shape.n, config)
         + gemm_b_traffic_bytes(shape.m, shape.k, shape.n, config)
         + gemm_c_traffic_bytes(shape.m, shape.n, config)
     )
     return kernel_time(name, shape.m, shape.k, shape.n, traffic, config, macs=shape.macs)
+
+
+def gemm_kernel_time(shape: GemmShape, config: GPUConfig, name: str = "gemm") -> KernelTime:
+    """A plain DRAM-resident GEMM — the "GEMM-only" reference of Fig 4a and
+    the compute half of the explicit-im2col path."""
+    return price_kernel("gpu.gemm", _gemm_kernel, shape, config, name)

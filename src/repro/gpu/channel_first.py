@@ -15,15 +15,11 @@ staging per decomposed filter is exactly the decomposed tile slice, which
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
-from ..audit import auditor as _audit
+from ..audit import invariants as audit_invariants
 from ..core.conv_spec import ConvSpec
 from ..core.reordering import greedy_reuse_order, order_reuse_fraction
-from ..perf.cache import memoized_model
-from ..trace import metrics as trace_metrics
-from ..trace import tracer as trace
-from .blocked_gemm import KernelTime, kernel_time
+from .blocked_gemm import KernelTime, kernel_time, price_kernel
 from .config import GPUConfig
 from .shared_memory import (
     channel_first_fill_bytes,
@@ -55,12 +51,8 @@ class ChannelFirstGPUResult:
         return self.kernel.tflops
 
 
-@memoized_model
-def _channel_first_conv_time(
-    spec: ConvSpec,
-    config: GPUConfig,
-    reorder: bool = True,
-    addressing_overhead: float = ADDRESSING_OVERHEAD,
+def _channel_first_result(
+    spec: ConvSpec, config: GPUConfig, reorder: bool, addressing_overhead: float
 ) -> ChannelFirstGPUResult:
     if not (0.0 <= addressing_overhead < 1.0):
         raise ValueError(f"addressing_overhead must be in [0,1), got {addressing_overhead}")
@@ -112,18 +104,12 @@ def channel_first_conv_time(
     ``reorder=False`` visits decomposed filters in naive row-major order
     (no inter-tile reuse) — the Fig 18b ablation baseline.
     """
-    with trace.span("gpu.channel_first.time", layer=spec.describe(), reorder=reorder):
-        result = _channel_first_conv_time(
-            spec, config, reorder=reorder, addressing_overhead=addressing_overhead
-        )
-    trace_metrics.record_kernel(
-        "gpu.channel_first", spec.describe() or "conv", result.seconds, result.tflops
-    )
-    if _audit.enabled():
-        from ..audit import invariants as audit_invariants
 
-        # Post-memoization on purpose: the published kernel is audited even
-        # when the timing came out of the model cache.
+    def check(result: ChannelFirstGPUResult, config: GPUConfig) -> None:
         audit_invariants.check_gpu_kernel(result.kernel, config)
         audit_invariants.check_gpu_channel_first(spec, result, config)
-    return result
+
+    return price_kernel(
+        "gpu.channel_first", _channel_first_result, spec, config, reorder,
+        addressing_overhead, check=check,
+    )

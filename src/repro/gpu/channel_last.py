@@ -21,10 +21,7 @@ Timing consequences modelled here:
 from __future__ import annotations
 
 from ..core.conv_spec import ConvSpec
-from ..perf.cache import memoized_model
-from ..trace import metrics as trace_metrics
-from ..trace import tracer as trace
-from .blocked_gemm import KernelTime, kernel_time
+from .blocked_gemm import KernelTime, kernel_time, price_kernel
 from .config import GPUConfig
 from .shared_memory import (
     channel_last_fill_bytes,
@@ -54,9 +51,8 @@ def stride_conflict_factor(stride: int, penalty: float = STRIDE_CONFLICT_PENALTY
     return 1.0 + penalty * (stride - 1)
 
 
-@memoized_model
-def _channel_last_conv_time(
-    spec: ConvSpec, config: GPUConfig, addressing_overhead: float = ADDRESSING_OVERHEAD
+def _channel_last_kernel(
+    spec: ConvSpec, config: GPUConfig, addressing_overhead: float
 ) -> KernelTime:
     if not (0.0 <= addressing_overhead < 1.0):
         raise ValueError(f"addressing_overhead must be in [0,1), got {addressing_overhead}")
@@ -87,11 +83,4 @@ def channel_last_conv_time(
     spec: ConvSpec, config: GPUConfig, addressing_overhead: float = ADDRESSING_OVERHEAD
 ) -> KernelTime:
     """Kernel time of the channel-last implicit conv for one layer."""
-    with trace.span("gpu.channel_last.time", layer=spec.describe()):
-        result = _channel_last_conv_time(
-            spec, config, addressing_overhead=addressing_overhead
-        )
-    trace_metrics.record_kernel(
-        "gpu.channel_last", spec.describe() or "conv", result.seconds, result.tflops
-    )
-    return result
+    return price_kernel("gpu.channel_last", _channel_last_kernel, spec, config, addressing_overhead)

@@ -17,12 +17,9 @@ Everything downstream treats :func:`cudnn_conv_time` as "the measurement".
 from __future__ import annotations
 
 from ..core.conv_spec import ConvSpec
-from ..perf.cache import memoized_model
-from ..trace import metrics as trace_metrics
-from ..trace import tracer as trace
 from ..util import deterministic_noise
-from .blocked_gemm import KernelTime
-from .channel_last import _channel_last_conv_time
+from .blocked_gemm import KernelTime, price_kernel
+from .channel_last import _channel_last_kernel
 from .config import GPUConfig
 
 __all__ = ["cudnn_conv_time", "VENDOR_SPEEDUP"]
@@ -33,21 +30,10 @@ __all__ = ["cudnn_conv_time", "VENDOR_SPEEDUP"]
 VENDOR_SPEEDUP = 1.0
 
 
-@memoized_model
-def _cudnn_conv_time(
-    spec: ConvSpec,
-    config: GPUConfig,
-    noise_amplitude: float = 0.015,
-    seed: int = 2021,
-) -> KernelTime:
-    # The inner channel-last model is used directly: cuDNN's substrate is
-    # the same kernel, and routing through the public wrapper would record a
-    # spurious channel-last measurement for every cuDNN query.
-    base = _channel_last_conv_time(spec, config, addressing_overhead=0.0)
-    factor = VENDOR_SPEEDUP * (
-        1.0 + deterministic_noise(f"cudnn:{spec.describe()}", noise_amplitude, seed)
-    )
-    return base.scaled(factor, name="cudnn-implicit-precomp-gemm")
+def _cudnn_kernel(spec: ConvSpec, config: GPUConfig) -> KernelTime:
+    # The channel-last model itself: cuDNN publishes no channel-last answer.
+    base = _channel_last_kernel(spec, config, 0.0)
+    return base.scaled(VENDOR_SPEEDUP, name="cudnn-implicit-precomp-gemm")
 
 
 def cudnn_conv_time(
@@ -56,12 +42,11 @@ def cudnn_conv_time(
     noise_amplitude: float = 0.015,
     seed: int = 2021,
 ) -> KernelTime:
-    """The "measured" cuDNN implicit conv time for one layer."""
-    with trace.span("gpu.cudnn.time", layer=spec.describe()):
-        result = _cudnn_conv_time(
-            spec, config, noise_amplitude=noise_amplitude, seed=seed
-        )
-    trace_metrics.record_kernel(
-        "gpu.cudnn", spec.describe() or "conv", result.seconds, result.tflops
+    """The "measured" cuDNN implicit conv time for one layer.
+
+    The memo and the audit see the noise-free kernel; the noise, which may
+    push ``seconds`` below the compute part, scales only the answer."""
+    factor = 1.0 + deterministic_noise(f"cudnn:{spec.describe()}", noise_amplitude, seed)
+    return price_kernel(
+        "gpu.cudnn", _cudnn_kernel, spec, config, publish=lambda kernel: kernel.scaled(factor)
     )
-    return result

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..audit import invariants as audit_invariants
 from ..core.conv_spec import ConvSpec
-from ..perf.cache import memoized_model
-from .blocked_gemm import KernelTime, gemm_kernel_time, kernel_time
+from .blocked_gemm import KernelTime, _gemm_kernel, price_kernel
 from .config import GPUConfig
 
 __all__ = ["ExplicitConvResult", "explicit_conv_time", "im2col_transform_time"]
@@ -51,12 +51,7 @@ class ExplicitConvResult:
         return 2 * self.gemm.macs / self.seconds / 1e12
 
 
-@memoized_model
-def im2col_transform_time(spec: ConvSpec, config: GPUConfig) -> KernelTime:
-    """The lowering kernel: read the IFMap (gathers hit cache for the
-    duplicated taps, so DRAM sees each input element about once) and write
-    the lowered matrix once — ``ifmap + lowered`` bytes of traffic, zero
-    MACs."""
+def _im2col_transform(spec: ConvSpec, config: GPUConfig) -> KernelTime:
     lowered = spec.lowered_bytes(config.elem_bytes)
     traffic = spec.ifmap_bytes(config.elem_bytes) + lowered
     memory_seconds = traffic / config.sustained_bandwidth_bps
@@ -70,13 +65,27 @@ def im2col_transform_time(spec: ConvSpec, config: GPUConfig) -> KernelTime:
     )
 
 
-@memoized_model
-def explicit_conv_time(spec: ConvSpec, config: GPUConfig) -> ExplicitConvResult:
-    """Full explicit-im2col conv: transform, then GEMM on the lowered matrix."""
-    transform = im2col_transform_time(spec, config)
-    gemm = gemm_kernel_time(spec.gemm_shape(), config, name="explicit-gemm")
+def _explicit_result(spec: ConvSpec, config: GPUConfig) -> ExplicitConvResult:
     return ExplicitConvResult(
-        transform=transform,
-        gemm=gemm,
+        transform=_im2col_transform(spec, config),
+        gemm=_gemm_kernel(spec.gemm_shape(), config, "explicit-gemm"),
         workspace_bytes=spec.lowered_bytes(config.elem_bytes),
     )
+
+
+def im2col_transform_time(spec: ConvSpec, config: GPUConfig) -> KernelTime:
+    """The lowering kernel: read the IFMap (gathers hit cache for the
+    duplicated taps, so DRAM sees each input element about once) and write
+    the lowered matrix once — ``ifmap + lowered`` bytes of traffic, zero
+    MACs."""
+    return price_kernel("gpu.im2col_transform", _im2col_transform, spec, config)
+
+
+def explicit_conv_time(spec: ConvSpec, config: GPUConfig) -> ExplicitConvResult:
+    """Full explicit-im2col conv: transform, then GEMM on the lowered matrix."""
+    return price_kernel("gpu.explicit", _explicit_result, spec, config, check=_check_kernels)
+
+
+def _check_kernels(result: ExplicitConvResult, config: GPUConfig) -> None:
+    audit_invariants.check_gpu_kernel(result.transform, config)
+    audit_invariants.check_gpu_kernel(result.gemm, config)

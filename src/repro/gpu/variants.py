@@ -19,11 +19,9 @@ same asymmetry:
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..core.conv_spec import ConvSpec
 from ..core.deformable import gather_traffic_elements
-from .blocked_gemm import KernelTime, gemm_kernel_time, kernel_time
+from .blocked_gemm import KernelTime, _gemm_kernel, kernel_time, price_kernel
 from .channel_first import channel_first_conv_time
 from .channel_last import channel_last_conv_time
 from .config import GPUConfig
@@ -58,6 +56,20 @@ def deformable_conv_time_channel_first(spec: ConvSpec, config: GPUConfig) -> Ker
     materialised.  Inter-tile reuse does not apply — the learned offsets
     decorrelate neighbouring tiles' working sets.
     """
+    return price_kernel("gpu.deformable_channel_first", _deformable_channel_first, spec, config)
+
+
+def deformable_conv_time_fallback(spec: ConvSpec, config: GPUConfig) -> KernelTime:
+    """The channel-last ecosystem's route: explicit gather + GEMM.
+
+    A gather kernel materialises the lowered matrix (read 4 bilinear corners
+    per tap + offsets, write the lowered matrix), then a plain GEMM consumes
+    it from DRAM.  Reported as one combined kernel time.
+    """
+    return price_kernel("gpu.deformable_fallback", _deformable_fallback, spec, config)
+
+
+def _deformable_channel_first(spec: ConvSpec, config: GPUConfig) -> KernelTime:
     shape = spec.gemm_shape()
     elem = config.elem_bytes
     staged = gather_traffic_elements(spec) * elem
@@ -79,13 +91,7 @@ def deformable_conv_time_channel_first(spec: ConvSpec, config: GPUConfig) -> Ker
     )
 
 
-def deformable_conv_time_fallback(spec: ConvSpec, config: GPUConfig) -> KernelTime:
-    """The channel-last ecosystem's route: explicit gather + GEMM.
-
-    A gather kernel materialises the lowered matrix (read 4 bilinear corners
-    per tap + offsets, write the lowered matrix), then a plain GEMM consumes
-    it from DRAM.  Reported as one combined kernel time.
-    """
+def _deformable_fallback(spec: ConvSpec, config: GPUConfig) -> KernelTime:
     shape = spec.gemm_shape()
     elem = config.elem_bytes
     gather_read = gather_traffic_elements(spec) * elem
@@ -96,7 +102,7 @@ def deformable_conv_time_fallback(spec: ConvSpec, config: GPUConfig) -> KernelTi
         + (offsets + lowered) / config.sustained_bandwidth_bps
         + config.kernel_overhead_s
     )
-    gemm = gemm_kernel_time(shape, config, name="deformable-explicit-gemm")
+    gemm = _gemm_kernel(shape, config, "deformable-explicit-gemm")
     combined_traffic = gather_read + offsets + lowered + gemm.traffic_bytes
     return KernelTime(
         name="deformable-explicit",

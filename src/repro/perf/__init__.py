@@ -26,7 +26,6 @@ from .cache import (
     config_key,
     conv_keys,
     fingerprint,
-    memoized_model,
     set_cache_enabled,
     spec_key,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "config_key",
     "conv_keys",
     "fingerprint",
-    "memoized_model",
     "set_cache_enabled",
     "spec_key",
     "ScheduleArrays",

@@ -14,9 +14,9 @@ Invalidation rules (tested in ``tests/perf/test_cache.py``):
   sub-configs — produces a different key;
 - :func:`spec_key` deliberately **excludes** ``ConvSpec.name``: timing is
   name-independent, so renamed copies of a layer share one entry (callers
-  re-label the cached result).  The generic :func:`fingerprint` used for the
-  GPU models keeps the name, because the measurement stand-ins derive their
-  deterministic noise from ``spec.describe()``.
+  re-label the cached result).  Every TPU and GPU entry keys specs this way;
+  the cuDNN stand-in's noise, seeded by ``spec.describe()``, is applied after
+  the memo (:func:`repro.gpu.blocked_gemm.price_kernel`), never stored.
 - :func:`canonical_spec` goes one step further than dropping the name: it
   folds *timing-equivalent* ConvSpecs onto one representative (H/W
   transposes, pointwise dilation, see the function docstring), and callers
@@ -51,7 +51,6 @@ __all__ = [
     "canonical_spec",
     "canonical_layout",
     "conv_keys",
-    "memoized_model",
     "cache_stats",
     "clear_cache",
     "reset_cache_stats",
@@ -473,24 +472,3 @@ def conv_keys(config, spec, group_size: int, layout) -> Tuple[Tuple, Tuple]:
         ("tpu-conv@c", cfg, spec_key(canonical_spec(spec)), group_size,
          canonical_layout(layout)),
     )
-
-
-def memoized_model(func: Callable) -> Callable:
-    """Memoize an analytic timing model through the global cache.
-
-    The key fingerprints every positional and keyword argument (names
-    included — GPU noise models hash ``spec.describe()``), plus the
-    function's qualified name so distinct models never collide.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        key = (
-            func.__module__,
-            func.__qualname__,
-            tuple(fingerprint(a) for a in args),
-            tuple(sorted((k, fingerprint(v)) for k, v in kwargs.items())),
-        )
-        return SIM_CACHE.get_or_compute(key, lambda: func(*args, **kwargs))
-
-    return wrapper

@@ -24,7 +24,7 @@ Request handling is built for fleets of duplicate queries:
   the service's :class:`~repro.resilience.supervisor.ErrorBudget`, and it
   ends in exactly one of ``succeeded`` or ``failed``, with the fault
   class its client saw, counted once when the query's own future is
-  done;
+  done; a batch refused at admission refuses every query in it;
 - **load shedding**: when the pending backlog of misses exceeds the
   configured budget a miss is refused with HTTP 429 + ``Retry-After``
   (a ``LoadShed`` fault) instead of growing the queue without bound;
@@ -630,14 +630,10 @@ class SimulationService:
             flight_beacon.get_beacon().shed += 1
 
     def _withdraw(self, flight: _Flight, future: asyncio.Future) -> None:
-        """A queued flight whose last waiter is cancelled leaves unpriced
-        and gives back its probe slot; one already pricing stays in
-        flight, for a later identical query to join."""
-        if (
-            future.cancelled()
-            and flight in self._queue
-            and all(f.done() for f in flight.futures)
-        ):
+        """A queued flight whose last waiter is done (cancelled or refused)
+        leaves unpriced and gives back its probe slot; one already pricing
+        stays in flight, for a later identical query to join."""
+        if flight in self._queue and all(f.done() for f in flight.futures):
             self._queue.remove(flight)
             del self._inflight[flight.query.key]
             self.breakers.release_probe(flight.query.fingerprint, flight.probe)
@@ -1245,9 +1241,14 @@ class ReproServer:
         except BadRequest as err:
             return 400, _JSON, json.dumps(self._error_body(str(err))), {}
         queries = [dataclasses.replace(q, ctx=ctx) for q in queries]
+        futures: List[asyncio.Future] = []
         try:
-            futures = [self.service.submit(query) for query in queries]
+            for query in queries:
+                futures.append(self.service.submit(query))
         except REFUSALS as err:
+            for future in futures:  # admitted earlier: refused with the rest
+                if not future.done():
+                    future.set_exception(err)
             fields: Dict[str, Any] = {}
             if isinstance(err, BreakerOpen):
                 status = 422

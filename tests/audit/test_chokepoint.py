@@ -1,4 +1,4 @@
-"""One pricing chokepoint: every TPU ``LayerResult`` is audited and traced.
+"""One pricing chokepoint per substrate: every answer is audited and traced.
 
 Each entry point that produces a :class:`~repro.systolic.simulator.
 LayerResult` publishes it through the simulator's shared tail
@@ -6,7 +6,11 @@ LayerResult` publishes it through the simulator's shared tail
 in the auditor's check counts and as a layer record in the metrics
 registry, under its own invariant prefix and trace source.  The memoized
 paths are also differentially audited: a corrupt memo entry that the cheap
-invariants accept is caught under ``--audit full``.
+invariants accept is caught under ``--audit full``.  Every GPU timing
+model answers through one tail too
+(:func:`repro.gpu.blocked_gemm.price_kernel`): a miss and a hit are each
+audited and recorded as one kernel, a corrupt entry fails
+``diff.cache-coherence``, and same-shape layers share one entry.
 """
 
 import dataclasses
@@ -17,6 +21,21 @@ from repro.audit import auditor
 from repro.core.conv_spec import ConvSpec, GemmShape
 from repro.core.sparsity import PositionMask
 from repro.errors import AuditFault
+from repro.gpu import (
+    V100,
+    ChannelFirstGPUResult,
+    KernelTime,
+    channel_first_conv_time,
+    channel_last_conv_time,
+    cudnn_conv_time,
+    deformable_conv_time_channel_first,
+    deformable_conv_time_fallback,
+    explicit_conv_time,
+    gemm_kernel_time,
+    im2col_transform_time,
+)
+from repro.gpu.channel_first import ADDRESSING_OVERHEAD as CF_OVERHEAD
+from repro.gpu.channel_last import ADDRESSING_OVERHEAD as CL_OVERHEAD
 from repro.perf.cache import SIM_CACHE, clear_cache, config_key, spec_key
 from repro.systolic.channel_last_schedule import simulate_conv_channel_last
 from repro.systolic.config import TPU_V2
@@ -81,6 +100,49 @@ ENTRY_POINTS = {
         lambda: simulate_conv_channel_last(SPEC, TPU_V2),
     ),
 }
+
+
+#: GPU entry point -> (trace source, the model's own key arguments, call).
+#: Each call prices SPEC (or its GEMM shape) with the default arguments.
+GPU_ENTRY_POINTS = {
+    "channel_first_conv_time": (
+        "gpu.channel_first", (True, CF_OVERHEAD),
+        lambda spec: channel_first_conv_time(spec, V100),
+    ),
+    "channel_last_conv_time": (
+        "gpu.channel_last", (CL_OVERHEAD,),
+        lambda spec: channel_last_conv_time(spec, V100),
+    ),
+    "cudnn_conv_time": (
+        "gpu.cudnn", (), lambda spec: cudnn_conv_time(spec, V100),
+    ),
+    "explicit_conv_time": (
+        "gpu.explicit", (), lambda spec: explicit_conv_time(spec, V100),
+    ),
+    "im2col_transform_time": (
+        "gpu.im2col_transform", (),
+        lambda spec: im2col_transform_time(spec, V100),
+    ),
+    "gemm_kernel_time": (
+        "gpu.gemm", ("gemm",),
+        lambda spec: gemm_kernel_time(spec.gemm_shape(), V100),
+    ),
+    "deformable_conv_time_channel_first": (
+        "gpu.deformable_channel_first", (),
+        lambda spec: deformable_conv_time_channel_first(spec, V100),
+    ),
+    "deformable_conv_time_fallback": (
+        "gpu.deformable_fallback", (),
+        lambda spec: deformable_conv_time_fallback(spec, V100),
+    ),
+}
+
+
+def _gpu_key(name):
+    """The memo key the GPU tail files ``name``'s answer for SPEC under."""
+    source, args, _ = GPU_ENTRY_POINTS[name]
+    problem = SPEC.gemm_shape() if name == "gemm_kernel_time" else SPEC
+    return (source, config_key(V100), spec_key(problem)) + args
 
 
 @pytest.fixture
@@ -182,3 +244,55 @@ def test_new_paths_pass_the_full_differential(fresh_memo):
     for invariant in ("diff.executor-equivalence", "diff.reference-vs-vectorized",
                       "diff.cache-coherence"):
         assert snap["checks_by_invariant"][invariant] == 4
+
+
+def test_every_gpu_entry_point_audits_and_records_a_miss_and_a_hit(traced_registry):
+    auditor.configure("cheap")
+    auditor.reset()
+    seen = {}
+    for name, (_, _, call) in GPU_ENTRY_POINTS.items():
+        for attempt in ("miss", "hit"):
+            checks = auditor.get_auditor().checks
+            hits = SIM_CACHE.hits
+            recorded = len(traced_registry.kernels)
+            call(SPEC)
+            seen[name, attempt] = (
+                SIM_CACHE.hits - hits,
+                auditor.get_auditor().checks > checks,
+                [record.source for record in traced_registry.kernels[recorded:]],
+            )
+    assert auditor.get_auditor().violations == 0
+    assert seen == {
+        (name, attempt): (int(attempt == "hit"), True, [source])
+        for name, (source, _, _) in GPU_ENTRY_POINTS.items()
+        for attempt in ("miss", "hit")
+    }
+
+
+def _slower(value):
+    """``seconds`` +1%: a slower kernel passes every cheap invariant."""
+    if isinstance(value, KernelTime):
+        return dataclasses.replace(value, seconds=value.seconds * 1.01)
+    part = "kernel" if isinstance(value, ChannelFirstGPUResult) else "gemm"
+    return dataclasses.replace(value, **{part: _slower(getattr(value, part))})
+
+
+@pytest.mark.parametrize("name", sorted(GPU_ENTRY_POINTS))
+def test_corrupt_gpu_memo_entry_is_caught(fresh_memo, name):
+    call = GPU_ENTRY_POINTS[name][2]
+    fault = _corrupt_then_audit(lambda: call(SPEC), _gpu_key(name), _slower)
+    assert fault.invariant == "diff.cache-coherence"
+
+
+def test_gpu_models_share_one_entry_across_layer_names(fresh_memo):
+    renamed = dataclasses.replace(SPEC, name="renamed")
+    entries = {}
+    for name, (_, _, call) in GPU_ENTRY_POINTS.items():
+        clear_cache()
+        call(SPEC)
+        call(renamed)
+        entries[name] = len(SIM_CACHE)
+        assert SIM_CACHE.lookup(_gpu_key(name))[0], name
+    assert entries == dict.fromkeys(GPU_ENTRY_POINTS, 1)
+    # The measurement noise is still each layer's own.
+    assert cudnn_conv_time(SPEC, V100).seconds != cudnn_conv_time(renamed, V100).seconds

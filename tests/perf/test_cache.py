@@ -70,8 +70,10 @@ def test_every_spec_field_reaches_the_key(field):
 def test_spec_name_is_excluded_but_fingerprint_keeps_it():
     renamed = dataclasses.replace(SPEC, name="conv4_x")
     assert spec_key(renamed) == spec_key(SPEC)
-    # The GPU models' generic fingerprint must NOT share entries across
-    # names — their deterministic noise hashes spec.describe().
+    # The generic fingerprint identifies a value, every field included (audit
+    # payloads and run manifests digest specs with it); only memo keys drop
+    # the label.  Every TPU and GPU model keys by spec_key, and the GPU
+    # models' sharing is pinned in tests/audit/test_chokepoint.py.
     assert fingerprint(renamed) != fingerprint(SPEC)
 
 

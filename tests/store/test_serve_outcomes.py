@@ -8,8 +8,9 @@ and the half-open breaker slot its first query took, priced and settled
 as an object.  These tests drive real sockets and pin that ledger: a
 joiner shares its flight's failure, a timed-out waiter is charged while
 another still waits, a withdrawn probe gives its slot back, a query
-arriving while an abandoned miss is pricing joins that pricing, and a
-drain waits for the last flight without polling.
+arriving while an abandoned miss is pricing joins that pricing, a refused
+batch prices none of its queries, and a drain waits for the last flight
+without polling.
 """
 
 import asyncio
@@ -214,6 +215,28 @@ def test_a_query_joins_the_pricing_of_an_abandoned_miss(monkeypatch):
     fingerprint = Query.parse({"spec": SPEC}).fingerprint
     assert fingerprint not in service.breakers._breakers  # no failure
     assert _budget(service) == (2, 1, 1)
+
+
+def test_a_refused_batch_prices_and_books_none_of_its_queries():
+    async def scenario():
+        service, server, host, port = await _boot(max_pending=1)
+        try:
+            # The first cold query is admitted; the second is shed, and
+            # the whole request with it.
+            status, body = await http_request(
+                host, port, "POST", "/v1/conv/batch",
+                {"queries": [{"spec": _cold(64)}, {"spec": _cold(72)}]},
+            )
+        finally:
+            await server.shutdown()  # the drain prices anything left queued
+        return service, status, body
+
+    service, status, body = asyncio.run(scenario())
+    assert status == 429 and "retry_after_ms" in body
+    assert _budget(service) == (2, 0, 2)
+    assert service.budget.faults_by_class == {"LoadShed": 2}
+    assert service.simulations == 0
+    assert service._queue == [] and service._inflight == {}
 
 
 def test_every_outcome_is_counted_once_and_the_counts_agree():
