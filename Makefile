@@ -1,4 +1,4 @@
-.PHONY: install test test-fast bench bench-figures profile experiments export examples api-doc cli-surface goldens sentinel bench-history fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke results-check ci all
+.PHONY: install test test-fast bench profile experiments export examples api-doc cli-surface goldens sentinel bench-history fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke results-check reach ci all
 
 export PYTHONPATH := src
 
@@ -13,9 +13,6 @@ test-fast:
 
 bench:
 	python benchmarks/bench_perf.py
-
-bench-figures:
-	pytest benchmarks/ --benchmark-only
 
 profile:
 	python -c "import cProfile, pstats, sys; \
@@ -79,6 +76,10 @@ dse-smoke:
 report-smoke:
 	python -m repro report fig13 fig16 --top 5
 
+# Every model def runs under some command, or tools/reach.py says why not.
+reach:
+	python tools/reach.py
+
 ci:
 	python -m pytest -x -q -m "not goldens" tests/
 	python -m pytest -q -m goldens tests/
@@ -92,6 +93,7 @@ ci:
 	python tools/serve_chaos.py
 	python -m repro report fig13 fig16 --top 5
 	python tools/dse_smoke.py
+	$(MAKE) reach
 	python -m pytest benchmarks/suite -q
 
 all: test bench experiments

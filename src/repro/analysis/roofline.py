@@ -29,10 +29,6 @@ class RooflinePoint:
     peak_tflops: float
     bound: str  # "compute" | "memory"
 
-    @property
-    def memory_bound(self) -> bool:
-        return self.bound == "memory"
-
 
 def ridge_intensity(peak_tflops: float, bandwidth_gbps: float) -> float:
     """The intensity at which the rooflines meet (FLOPs/byte)."""

@@ -61,7 +61,6 @@ from .invariants import (
     check_gpu_channel_first,
     check_gpu_kernel,
     check_hbm_transfer,
-    check_sram_latency,
     check_tpu_conv,
     check_tpu_gemm,
     check_tpu_layer,
@@ -91,7 +90,6 @@ __all__ = [
     "check_tpu_multi_mxu",
     "check_tpu_sparse",
     "check_hbm_transfer",
-    "check_sram_latency",
     "check_gpu_kernel",
     "check_gpu_channel_first",
     "verify_layer",

@@ -27,7 +27,6 @@ invariant id                            identity / bound
 ``tpu.channel_last.*``                  the same for the channel-last
                                         counterfactual; compute roof only
 ``hbm.bandwidth.law``                   transfer cycles ≥ bytes / peak bytes-per-cycle
-``sram.latency.sane``                   access latency finite and positive
 ``gpu.kernel.accounting``               kernel seconds ≥ max(compute, memory) parts
 ``gpu.kernel.roofline``                 compute/memory parts ≥ their roofs
 ``gpu.flops.equivalence``               implicit-im2col kernel MACs == direct conv
@@ -49,7 +48,6 @@ expected/actual values and the ConvSpec + config fingerprints.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Any, Dict, Optional
 
 from ..analysis.roofline import cycle_lower_bound
@@ -66,7 +64,6 @@ __all__ = [
     "check_tpu_multi_mxu",
     "check_tpu_sparse",
     "check_hbm_transfer",
-    "check_sram_latency",
     "check_gpu_kernel",
     "check_gpu_channel_first",
 ]
@@ -320,18 +317,6 @@ def check_hbm_transfer(stats, total_cycles: float, config) -> None:
     )
 
 
-def check_sram_latency(latency_ns: float, capacity_bytes: int) -> None:
-    """SRAM access latency must be a positive, finite number."""
-    _auditor.check(
-        "sram.latency.sane",
-        latency_ns > 0.0 and math.isfinite(latency_ns),
-        expected="> 0 and finite",
-        actual=latency_ns,
-        message="SRAM access latency is non-positive or non-finite",
-        context={"capacity_bytes": capacity_bytes},
-    )
-
-
 def check_gpu_kernel(kernel, config) -> None:
     """Cheap-level checks for one priced GPU kernel (any algorithm)."""
     check = _auditor.check
@@ -381,13 +366,5 @@ def check_gpu_channel_first(spec: ConvSpec, result, config) -> None:
         expected="[0, 1]",
         actual=result.reuse_fraction,
         message="halo-reuse fraction outside [0, 1]",
-        context=context,
-    )
-    check(
-        "gpu.kernel.accounting",
-        result.seconds >= result.kernel.seconds * (1 - REL_TOL),
-        expected=f">= {result.kernel.seconds}",
-        actual=result.seconds,
-        message="layer time below its own kernel time",
         context=context,
     )

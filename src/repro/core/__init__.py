@@ -16,7 +16,6 @@ from .lowering import (
     lowered_matrix_mb,
 )
 from .channel_first import (
-    ChannelFirstPlan,
     DecomposedFilter,
     conv2d_channel_first,
     decompose,
@@ -51,7 +50,6 @@ from .reordering import (
     greedy_reuse_order,
     order_reuse_fraction,
     overlap_fraction,
-    pairwise_overlap,
     tile_working_set,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "ofmap_from_gemm",
     "ifmap_mb",
     "lowered_matrix_mb",
-    "ChannelFirstPlan",
     "DecomposedFilter",
     "conv2d_channel_first",
     "decompose",
@@ -91,7 +88,6 @@ __all__ = [
     "greedy_reuse_order",
     "order_reuse_fraction",
     "overlap_fraction",
-    "pairwise_overlap",
     "tile_working_set",
     "conv2d_backward_data",
     "conv2d_backward_weights",

@@ -23,7 +23,7 @@ pin down:
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "decomposed_tile_view",
     "decomposed_weight_slice",
     "conv2d_channel_first",
-    "ChannelFirstPlan",
 ]
 
 
@@ -52,10 +51,6 @@ class DecomposedFilter:
     r: int
     s: int
     index: int
-
-    def paper_tag(self) -> str:
-        """The ``<r, s>`` label used in the paper's figures (1-based)."""
-        return f"<{self.r + 1},{self.s + 1}>"
 
 
 def decompose(spec: ConvSpec) -> List[DecomposedFilter]:
@@ -153,56 +148,3 @@ def _validate_order(tiles: Iterable[DecomposedFilter], spec: ConvSpec) -> None:
             raise ValueError(f"inconsistent tile {tile}")
         if not (0 <= tile.r < spec.h_filter and 0 <= tile.s < spec.w_filter):
             raise ValueError(f"tile {tile} out of range for {spec.filter_shape}")
-
-
-@dataclasses.dataclass(frozen=True)
-class ChannelFirstPlan:
-    """A fully-resolved execution plan for the channel-first algorithm.
-
-    Hardware backends consume the algorithm through this plan rather than
-    re-deriving geometry: it names the decomposed GEMM shape, the visit
-    order, and the per-tile IFMap footprint (used for SRAM-fill costing).
-    """
-
-    spec: ConvSpec
-    tiles: Tuple[DecomposedFilter, ...]
-
-    @classmethod
-    def build(
-        cls, spec: ConvSpec, order: Optional[Sequence[DecomposedFilter]] = None
-    ) -> "ChannelFirstPlan":
-        tiles = tuple(order) if order is not None else tuple(decompose(spec))
-        _validate_order(tiles, spec)
-        return cls(spec=spec, tiles=tiles)
-
-    @property
-    def gemm_m(self) -> int:
-        return self.spec.lowered_rows()
-
-    @property
-    def gemm_k(self) -> int:
-        return self.spec.c_in
-
-    @property
-    def gemm_n(self) -> int:
-        return self.spec.c_out
-
-    # Derived quantities are uniformly properties (like the gemm_* axes and
-    # every result type's accessors): a plan is frozen data, and mixing
-    # call-vs-attribute access across twins of the same concept invites
-    # ``plan.total_macs`` silently evaluating to a bound method.
-    @property
-    def tile_input_elements(self) -> int:
-        """IFMap elements one decomposed tile reads: N * H_O * W_O * C_I.
-
-        Shrinks quadratically with stride — the stride-insensitivity story.
-        """
-        return self.gemm_m * self.gemm_k
-
-    @property
-    def tile_macs(self) -> int:
-        return self.gemm_m * self.gemm_k * self.gemm_n
-
-    @property
-    def total_macs(self) -> int:
-        return self.tile_macs * len(self.tiles)

@@ -237,14 +237,6 @@ class ConvSpec:
         """The single equivalent GEMM: [N*H_O*W_O, HWC] x [HWC, C_O]."""
         return GemmShape(m=self.lowered_rows(), n=self.c_out, k=self.lowered_cols())
 
-    def decomposed_gemm_shape(self) -> GemmShape:
-        """One decomposed 1x1-filter GEMM tile (Sec. III-B).
-
-        Each of the ``H_F*W_F`` decomposed filters contributes a
-        ``[N*H_O*W_O, C_I] x [C_I, C_O]`` GEMM whose results accumulate.
-        """
-        return GemmShape(m=self.lowered_rows(), n=self.c_out, k=self.c_in)
-
     # ------------------------------------------------------------- utilities
     def is_pointwise(self) -> bool:
         return self.h_filter == 1 and self.w_filter == 1

@@ -50,10 +50,6 @@ class GroupedConvSpec:
             )
 
     @property
-    def is_depthwise(self) -> bool:
-        return self.groups == self.base.c_in and self.base.c_in == self.base.c_out
-
-    @property
     def weight_shape(self):
         b = self.base
         return (b.c_out, b.c_in // self.groups, b.h_filter, b.w_filter)

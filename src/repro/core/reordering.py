@@ -16,7 +16,7 @@ of each consecutive pair directly into saved shared-memory fill traffic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .channel_first import DecomposedFilter, decompose
 from .conv_spec import ConvSpec
@@ -24,7 +24,6 @@ from .conv_spec import ConvSpec
 __all__ = [
     "tile_working_set",
     "overlap_fraction",
-    "pairwise_overlap",
     "greedy_reuse_order",
     "order_reuse_fraction",
 ]
@@ -65,17 +64,6 @@ def overlap_fraction(spec: ConvSpec, a: DecomposedFilter, b: DecomposedFilter) -
     rows = _axis_shared((b.r - a.r) * spec.dilation, spec.stride, spec.h_out)
     cols = _axis_shared((b.s - a.s) * spec.dilation, spec.stride, spec.w_out)
     return rows * cols / (spec.h_out * spec.w_out)
-
-
-def pairwise_overlap(spec: ConvSpec) -> Dict[Tuple[int, int], float]:
-    """Overlap fraction for every ordered pair of decomposed-filter indices."""
-    tiles = decompose(spec)
-    table = {}
-    for a in tiles:
-        for b in tiles:
-            if a.index != b.index:
-                table[(a.index, b.index)] = overlap_fraction(spec, a, b)
-    return table
 
 
 def greedy_reuse_order(spec: ConvSpec) -> List[DecomposedFilter]:

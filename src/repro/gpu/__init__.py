@@ -11,7 +11,6 @@ from .shared_memory import (
     gemm_a_traffic_bytes,
     gemm_b_traffic_bytes,
     gemm_c_traffic_bytes,
-    shared_tile_fits,
 )
 from .blocked_gemm import KernelTime, gemm_kernel_time, kernel_time
 from .explicit import ExplicitConvResult, explicit_conv_time, im2col_transform_time
@@ -42,7 +41,6 @@ __all__ = [
     "gemm_a_traffic_bytes",
     "gemm_b_traffic_bytes",
     "gemm_c_traffic_bytes",
-    "shared_tile_fits",
     "KernelTime",
     "gemm_kernel_time",
     "kernel_time",

@@ -115,10 +115,6 @@ class GPUConfig:
         return self.num_sms * self.macs_per_sm_per_cycle * self.clock_ghz * 1e9
 
     @property
-    def peak_tflops(self) -> float:
-        return 2 * self.peak_macs_per_s / 1e12
-
-    @property
     def sustained_macs_per_s(self) -> float:
         return self.peak_macs_per_s * self.compute_efficiency
 
@@ -130,13 +126,6 @@ class GPUConfig:
     def staging_bandwidth_bps(self) -> float:
         """Effective DRAM bandwidth of the implicit paths' staging gathers."""
         return self.hbm_bandwidth_gbps * 1e9 * self.staging_efficiency
-
-    def describe(self) -> str:
-        return (
-            f"GPU[{self.num_sms} SMs x {self.tensor_cores_per_sm} TCs @ "
-            f"{self.clock_ghz} GHz, {self.peak_tflops:.0f} TFLOPS FP16 peak, "
-            f"{self.hbm_bandwidth_gbps:.0f} GB/s HBM]"
-        )
 
 
 #: The canonical V100 configuration used by the evaluation.

@@ -41,10 +41,6 @@ class ExplicitConvResult:
         return self.transform.seconds + self.gemm.seconds
 
     @property
-    def transform_fraction(self) -> float:
-        return self.transform.seconds / self.seconds if self.seconds > 0 else 0.0
-
-    @property
     def tflops(self) -> float:
         if self.seconds <= 0:
             return 0.0

@@ -32,7 +32,6 @@ __all__ = [
     "gemm_c_traffic_bytes",
     "channel_last_fill_bytes",
     "channel_first_fill_bytes",
-    "shared_tile_fits",
 ]
 
 
@@ -121,15 +120,3 @@ def channel_first_fill_bytes(
         # First position pays full fill; the rest pay (1 - reuse).
         effective_positions = 1.0 + (positions - 1) * (1.0 - reuse_fraction)
     return int(per_position * effective_positions * reloads)
-
-
-def shared_tile_fits(spec: ConvSpec, config: GPUConfig) -> bool:
-    """Whether one TB's double-buffered A+B staging fits shared memory.
-
-    Used as a sanity guard by the conv paths: A-stage ``tile_m x tile_k``
-    plus B-stage ``tile_k x tile_n``, double buffered.
-    """
-    t = config.tile
-    a_bytes = t.tile_m * t.tile_k * config.elem_bytes
-    b_bytes = t.tile_k * t.tile_n * config.elem_bytes
-    return 2 * (a_bytes + b_bytes) <= config.shared_mem_bytes_per_sm

@@ -154,7 +154,8 @@ def analytic_fill_stats(
     spec: ConvSpec, layout: Layout, elem_bytes: int = 2
 ) -> TransferStats:
     """Closed-form fill statistics for one decomposed-tile fill, ignoring
-    padding halos (used at layer scale where tracing is too slow).
+    padding halos: the reference the traced :func:`fill_stats` is tested
+    against (no pricing path calls it).
 
     HWC: each output row of the tile reads ``W_O`` taps x ``C_I`` channels;
     at stride 1 the whole row is one run of ``W_O*C_I`` elements, at stride

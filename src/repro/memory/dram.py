@@ -200,14 +200,7 @@ class HBMModel:
                 if row != last_row[channel]:
                     last_row[channel] = row
                 busy[channel] += cost
-        total = max(busy) + cfg.request_latency_cycles
-        if _faults.ACTIVE is not None:  # injected DRAM response drops
-            total = _faults.ACTIVE.perturb_dram_cycles(total)
-        if trace.enabled():
-            trace.counter("hbm.trace_walks", 1, cat="hbm")
-            trace.counter("hbm.trace_bursts", len(seen_bursts), cat="hbm")
-            trace.counter("hbm.trace_cycles", total, cat="hbm")
-        return total
+        return max(busy) + cfg.request_latency_cycles
 
     # --------------------------------------------------------- summary path
     def transfer_cycles(self, stats: TransferStats) -> float:
@@ -264,15 +257,6 @@ class HBMModel:
         if nbytes == 0:
             return 0.0
         return self.transfer_cycles(TransferStats(bytes=nbytes, runs=1))
-
-    def strided_cycles(self, nbytes: int, run_bytes: int) -> float:
-        """Cycles to move ``nbytes`` in runs of ``run_bytes`` each."""
-        if nbytes == 0:
-            return 0.0
-        if run_bytes <= 0:
-            raise ValueError("run_bytes must be positive")
-        runs = max(1, math.ceil(nbytes / run_bytes))
-        return self.transfer_cycles(TransferStats(bytes=nbytes, runs=runs))
 
     def effective_bandwidth_gbps(self, stats: TransferStats) -> float:
         """Achieved bandwidth for a pattern — the Fig 7 y-axis."""

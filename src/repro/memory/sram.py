@@ -20,18 +20,14 @@ the word narrows.  We model:
 
 with the three overhead coefficients fitted to the paper's two quoted ratios
 (see ``_CALIBRATION`` and the tests, which pin the ratios to within a few
-percent).  Latency and energy use standard logarithmic/square-root scaling
-in capacity so the DMA engine has self-consistent access costs.
+percent).  Energy per access grows linearly with the word width.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
-from ..audit import auditor as _audit
 from ..errors import ConfigError
-from ..resilience import faults as _faults
 
 __all__ = ["SRAMConfig", "SRAMModel"]
 
@@ -57,7 +53,9 @@ class SRAMConfig:
     row_overhead_um2: float = 35.3
     # Fixed control/timing block area, um^2 per macro.
     fixed_overhead_um2: float = 2000.0
-    # Latency model constants (ns): t = a + b * sqrt(capacity_kb).
+    # No model reads the two latency constants.  They stay because
+    # ``config_key`` fingerprints every nested field: removing one would
+    # change every memo key, store record digest and serve breaker key.
     latency_base_ns: float = 0.2
     latency_sqrt_coeff_ns: float = 0.035
     # Energy per access: e = (base + per_bit * word_bits) pJ.
@@ -74,7 +72,7 @@ class SRAMConfig:
 
 
 class SRAMModel:
-    """Area / latency / energy of an SRAM macro vs (capacity, word width)."""
+    """Area and access energy of an SRAM macro vs (capacity, word width)."""
 
     def __init__(self, config: SRAMConfig = SRAMConfig()):
         self.config = config
@@ -111,31 +109,6 @@ class SRAMModel:
         return self.area_um2(capacity_bytes, word_bytes) / self.area_um2(
             capacity_bytes, reference_word_bytes
         )
-
-    def access_latency_ns(self, capacity_bytes: int) -> float:
-        """Read latency; sqrt-of-capacity wire-dominated scaling."""
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        effective = float(capacity_bytes)
-        if _faults.ACTIVE is not None:  # injected capacity-assumption flip
-            effective = _faults.ACTIVE.sram_effective_capacity(capacity_bytes)
-        kb = effective / 1024.0
-        latency = (
-            self.config.latency_base_ns
-            + self.config.latency_sqrt_coeff_ns * math.sqrt(kb)
-        )
-        if _faults.ACTIVE is not None:  # injected latency flip
-            latency = _faults.ACTIVE.perturb_sram_latency(latency)
-        if _audit.enabled():
-            from ..audit import invariants as audit_invariants
-
-            audit_invariants.check_sram_latency(latency, capacity_bytes)
-        return latency
-
-    def access_latency_cycles(self, capacity_bytes: int, clock_ghz: float) -> float:
-        if clock_ghz <= 0:
-            raise ValueError("clock must be positive")
-        return self.access_latency_ns(capacity_bytes) * clock_ghz
 
     def access_energy_pj(self, word_bytes: int) -> float:
         if word_bytes <= 0:

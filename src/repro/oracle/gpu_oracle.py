@@ -48,7 +48,3 @@ class GPUOracle:
             gemm=base.gemm.scaled(g_factor),
             workspace_bytes=base.workspace_bytes,
         )
-
-    def measured_implicit_tflops(self, spec: ConvSpec) -> float:
-        seconds = self.measured_implicit_seconds(spec)
-        return 2 * spec.macs / seconds / 1e12

@@ -81,10 +81,6 @@ class TPUv2Oracle:
         cycles = self.measured_conv_cycles(spec)
         return 2 * spec.macs * self.config.clock_ghz / cycles / 1e3
 
-    def measured_gemm_tflops(self, shape: GemmShape) -> float:
-        cycles = self.measured_gemm_cycles(shape)
-        return 2 * shape.macs * self.config.clock_ghz / cycles / 1e3
-
     def measured_network_cycles(self, layers) -> float:
         return sum(self.measured_conv_cycles(layer) for layer in layers)
 

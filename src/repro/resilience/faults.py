@@ -17,11 +17,9 @@ of hoping production hits them first.  Faults come in three groups:
   :class:`~repro.errors.PermanentFault` on every attempt.
 - **Memory-model faults**: ``dram-drop=P`` drops/retries that fraction of
   DRAM responses (each dropped response costs ``dram-delay=C`` extra core
-  cycles, default 200), ``sram-latency=F`` multiplies SRAM access latency
-  and ``sram-capacity=F`` scales the capacity assumption the latency model
-  sees.  The hooks in :mod:`repro.memory.dram`/:mod:`repro.memory.sram`
-  cost one global ``is None`` check when no plan is active, preserving the
-  repo's zero-overhead-when-off contract.
+  cycles, default 200).  The hook in :mod:`repro.memory.dram` costs one
+  global ``is None`` check when no plan is active, preserving the repo's
+  zero-overhead-when-off contract.
 - **Checkpoint faults**: ``corrupt-checkpoint@I`` truncates the journal
   record of task ``I`` as it is written, so resume's skip-and-warn path is
   exercised end to end.
@@ -100,8 +98,6 @@ class FaultPlan:
     fatal: Set[int] = dataclasses.field(default_factory=set)
     dram_drop: float = 0.0
     dram_delay_cycles: float = 200.0
-    sram_latency_factor: float = 1.0
-    sram_capacity_factor: float = 1.0
     corrupt_checkpoint: Set[int] = dataclasses.field(default_factory=set)
     #: Store-record damage mode ("" = off; "any" picks per record).
     corrupt_store: str = ""
@@ -226,10 +222,6 @@ class FaultPlan:
                     plan.dram_drop = value
                 elif name == "dram-delay":
                     plan.dram_delay_cycles = value
-                elif name == "sram-latency":
-                    plan.sram_latency_factor = value
-                elif name == "sram-capacity":
-                    plan.sram_capacity_factor = value
                 else:
                     raise ConfigError(
                         "unknown fault parameter",
@@ -286,19 +278,6 @@ class FaultPlan:
             self._count("dram_dropped")
             return cycles + self.dram_delay_cycles
         return cycles
-
-    def sram_effective_capacity(self, capacity_bytes: int) -> float:
-        """The capacity the SRAM latency model should *believe* it has."""
-        if self.sram_capacity_factor == 1.0:
-            return capacity_bytes
-        self._count("sram_capacity_flipped")
-        return capacity_bytes * self.sram_capacity_factor
-
-    def perturb_sram_latency(self, latency_ns: float) -> float:
-        if self.sram_latency_factor == 1.0:
-            return latency_ns
-        self._count("sram_latency_flipped")
-        return latency_ns * self.sram_latency_factor
 
     # -------------------------------------------------------- audit faults
     def breaks_invariant(self, invariant: str) -> bool:

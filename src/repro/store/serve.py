@@ -24,7 +24,8 @@ Request handling is built for fleets of duplicate queries:
   the service's :class:`~repro.resilience.supervisor.ErrorBudget`, and it
   ends in exactly one of ``succeeded`` or ``failed``, with the fault
   class its client saw, counted once when the query's own future is
-  done; a batch refused at admission refuses every query in it;
+  done; a batch refused at admission refuses every query in it, one
+  already answered warm included;
 - **load shedding**: when the pending backlog of misses exceeds the
   configured budget a miss is refused with HTTP 429 + ``Retry-After``
   (a ``LoadShed`` fault) instead of growing the queue without bound;
@@ -440,6 +441,9 @@ class SimulationService:
         self._sims: Dict[Tuple, TPUSim] = {}
         self._inflight: Dict[Tuple, _Flight] = {}
         self._queue: List[_Flight] = []
+        #: Futures answered at admission whose request was then refused,
+        #: with that refusal: :meth:`_count` books them as refused.
+        self._refused: Dict[asyncio.Future, BaseException] = {}
         self._wakeup: Optional[asyncio.Event] = None
         #: Set by :meth:`_publish` whenever the backlog is empty.
         self._idle: Optional[asyncio.Event] = None
@@ -615,7 +619,10 @@ class SimulationService:
         """Count one query's outcome when its future is done: the only
         writer of the budget's outcomes, the :data:`FAULT_SERIES` and the
         beacon's ``shed``.  A cancellation is its request's deadline."""
-        if future.cancelled():
+        refusal = self._refused.pop(future, None) if self._refused else None
+        if refusal is not None:
+            fault = type(refusal).__name__
+        elif future.cancelled():
             fault = "DeadlineExceeded"
         elif future.exception() is None:
             self.budget.succeeded += 1
@@ -628,6 +635,19 @@ class SimulationService:
             self.registry.inc_counter(FAULT_SERIES[fault])
         if fault == "LoadShed":
             flight_beacon.get_beacon().shed += 1
+
+    def refuse(
+        self, futures: List[asyncio.Future], refusal: BaseException
+    ) -> None:
+        """Fail the queries a request had admitted before ``refusal`` turned
+        the whole request away, so each is booked with the refusal its
+        client saw.  One answered warm at admission is already done, and
+        its count, still pending on the loop, takes the refusal instead."""
+        for future in futures:
+            if future.done():
+                self._refused[future] = refusal
+            else:
+                future.set_exception(refusal)
 
     def _withdraw(self, flight: _Flight, future: asyncio.Future) -> None:
         """A queued flight whose last waiter is done (cancelled or refused)
@@ -1246,9 +1266,7 @@ class ReproServer:
             for query in queries:
                 futures.append(self.service.submit(query))
         except REFUSALS as err:
-            for future in futures:  # admitted earlier: refused with the rest
-                if not future.done():
-                    future.set_exception(err)
+            self.service.refuse(futures, err)
             fields: Dict[str, Any] = {}
             if isinstance(err, BreakerOpen):
                 status = 422

@@ -18,8 +18,8 @@ produces:
 - :func:`skewed_schedule` — the (cycle, memory, word_offset) triples after
   applying the one-cycle-per-row skew and the once-per-``word_elems``-cycles
   serializer cadence;
-- :class:`AddressGenerator` — an iterator facade the cycle-accurate
-  simulator drives.
+- :class:`AddressGenerator` — one row's stream as an iterator (no
+  simulator drives it; only its own tests do).
 
 A key property the tests pin: the address streams are *identical across
 memories modulo delay* — this is what makes the hardware a plain counter

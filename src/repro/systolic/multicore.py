@@ -35,15 +35,6 @@ class MultiCoreResult:
         """Wall-clock cycles: the slowest core plus synchronisation."""
         return self.per_core.cycles + self.sync_cycles
 
-    @property
-    def total_macs(self) -> int:
-        return self.per_core.macs * self.cores
-
-    def tflops(self, clock_ghz: float) -> float:
-        if self.cycles <= 0:
-            return 0.0
-        return 2 * self.total_macs * clock_ghz / self.cycles / 1e3
-
 
 def simulate_conv_multicore(
     spec: ConvSpec,

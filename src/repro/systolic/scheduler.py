@@ -93,16 +93,6 @@ class ScheduleResult:
     items: int
     macs: int
 
-    def tflops(self, clock_ghz: float) -> float:
-        if self.total_cycles <= 0:
-            return 0.0
-        return 2 * self.macs * clock_ghz / self.total_cycles / 1e3
-
-    def utilization(self, config: TPUConfig) -> float:
-        if self.total_cycles <= 0:
-            return 0.0
-        return self.macs / (config.peak_macs_per_cycle * self.total_cycles)
-
 
 def execute_schedule(items: List[WorkItem], arrays: int = 1) -> ScheduleResult:
     """Run items through the DMA/array pipeline with double buffering.

@@ -94,11 +94,6 @@ class LayerResult:
     macs: int
     group_size: int = 1
 
-    # Cycles are the unit of record (config-independent once produced);
-    # seconds exist only through the explicit conversion below.
-    def latency_s(self, clock_ghz: float) -> float:
-        return self.cycles / (clock_ghz * 1e9)
-
 
 @dataclasses.dataclass(frozen=True)
 class NetworkResult:
@@ -505,10 +500,3 @@ class TPUSim:
                 )
         return ofmap
 
-    # -------------------------------------------------------------- breakdown
-    def stride_sweep(self, spec: ConvSpec, strides: Sequence[int]) -> Dict[int, LayerResult]:
-        """Convenience for Fig 4b: the same layer at several strides."""
-        results = {}
-        for stride in strides:
-            results[stride] = self.simulate_conv(spec.with_stride(stride))
-        return results

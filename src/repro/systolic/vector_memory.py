@@ -87,21 +87,13 @@ class VectorMemoryModel:
         """
         return self.steady_state_accounting(1.0).idle_fraction
 
-    def contention_free(self) -> bool:
-        """Reads and writes can interleave without stalling iff the port is
-        demanded at most once per cycle: ``2 / word_elems <= 1``."""
-        return self.config.sram_word_elems >= 2
-
-    def capacity_per_memory(self) -> int:
-        return self.config.per_memory_bytes
-
 
 class FunctionalVectorMemory:
     """A functional single-port word-addressed SRAM array with serializer.
 
-    Stores words of ``word_elems`` elements.  ``read_word`` models the port
-    access; ``pop_element`` models the serializer issuing one element per
-    cycle.  The cycle-accurate conv example (tests for Fig 10) drives one of
+    Stores words of ``word_elems`` elements.  ``write_word`` and
+    ``load_into_serializer`` are the port accesses; ``pop_element`` models
+    the serializer issuing one element per cycle.  The cycle-accurate conv example (tests for Fig 10) drives one of
     these per PE row and asserts the port is touched exactly once per word.
     """
 
@@ -123,15 +115,12 @@ class FunctionalVectorMemory:
         self._data[word_index] = values
         self.port_accesses += 1
 
-    def read_word(self, word_index: int) -> np.ndarray:
+    def load_into_serializer(self, word_index: int) -> None:
+        """One port access refills the serializer with a whole word."""
         if not (0 <= word_index < self.num_words):
             raise IndexError(f"word {word_index} out of range")
         self.port_accesses += 1
-        return self._data[word_index].copy()
-
-    def load_into_serializer(self, word_index: int) -> None:
-        """One port access refills the serializer with a whole word."""
-        self._serializer = list(self.read_word(word_index))
+        self._serializer = list(self._data[word_index])
 
     def pop_element(self) -> float:
         """Serializer issues the next element to the PE row (no port access)."""

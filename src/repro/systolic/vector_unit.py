@@ -15,8 +15,8 @@ that trade-off:
   design would pay: one restore before and one skew after every non-GEMM
   layer sandwiched between convolutions.
 
-The ablation experiment uses these to put a number on the paper's
-qualitative dismissal.
+The extensions experiment prices the two skew functions to put a number on
+the paper's qualitative dismissal; no command prices pooling or batch norm.
 """
 
 from __future__ import annotations

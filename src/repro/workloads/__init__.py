@@ -13,7 +13,7 @@ from .networks import (
     yolov2,
     zfnet,
 )
-from .mobilenet import mobilenet_v1, mobilenet_v1_pointwise_only
+from .mobilenet import mobilenet_v1
 from .synthetic import (
     conv_validation_layers,
     fig4_layers,
@@ -43,5 +43,4 @@ __all__ = [
     "small_channel_sweep",
     "strided_layers",
     "mobilenet_v1",
-    "mobilenet_v1_pointwise_only",
 ]

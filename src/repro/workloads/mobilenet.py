@@ -18,7 +18,7 @@ from typing import List, Tuple, Union
 from ..core.conv_spec import ConvSpec
 from ..core.grouped import GroupedConvSpec
 
-__all__ = ["mobilenet_v1", "mobilenet_v1_pointwise_only"]
+__all__ = ["mobilenet_v1"]
 
 #: (in_channels, hw_in, out_channels, depthwise stride) per separable block.
 _BLOCKS = [
@@ -67,9 +67,3 @@ def mobilenet_v1(batch: int = 1) -> List[LayerLike]:
             )
         )
     return layers
-
-
-def mobilenet_v1_pointwise_only(batch: int = 1) -> List[ConvSpec]:
-    """Just the dense layers (stem + pointwise): what the GEMM engine runs
-    well; the depthwise residue goes to the vector unit in practice."""
-    return [layer for layer in mobilenet_v1(batch) if isinstance(layer, ConvSpec)]

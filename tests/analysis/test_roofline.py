@@ -24,7 +24,7 @@ def test_big_gemm_compute_bound():
 
 def test_skinny_gemm_memory_bound():
     point = gemm_roofline(GemmShape(4096, 1, 4096), peak_tflops=22.9, bandwidth_gbps=700)
-    assert point.memory_bound
+    assert point.bound == "memory"
     assert point.attainable_tflops < 22.9
 
 

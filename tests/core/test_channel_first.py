@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ChannelFirstPlan,
     conv2d_channel_first,
     decompose,
     decomposed_tile_view,
@@ -26,8 +25,8 @@ def test_matches_direct_conv(operands):
 def test_decompose_count_and_tags(small_spec):
     tiles = decompose(small_spec)
     assert len(tiles) == 9
-    assert tiles[0].paper_tag() == "<1,1>"
-    assert tiles[-1].paper_tag() == "<3,3>"
+    assert (tiles[0].r, tiles[0].s) == (0, 0)  # the paper's tile <1,1>
+    assert (tiles[-1].r, tiles[-1].s) == (2, 2)  # the paper's tile <3,3>
     assert [t.index for t in tiles] == list(range(9))
 
 
@@ -93,19 +92,31 @@ def test_order_rejects_inconsistent_tile(small_spec):
 
 
 def test_plan_geometry(small_spec):
-    plan = ChannelFirstPlan.build(small_spec)
-    assert plan.gemm_m == small_spec.lowered_rows()
-    assert plan.gemm_k == small_spec.c_in
-    assert plan.gemm_n == small_spec.c_out
-    assert plan.total_macs == small_spec.macs
+    """Each decomposed tile is an ``[M, C_I] x [C_I, C_O]`` GEMM, and the
+    tiles together do exactly the convolution's work."""
+    spec = small_spec
+    ifmap, weights = random_conv_operands(spec)
+    padded = pad_ifmap(ifmap, spec.padding)
+    macs = 0
+    for tile in decompose(spec):
+        n, c, h, w = decomposed_tile_view(padded, spec, tile).shape
+        assert (n * h * w, c) == (spec.lowered_rows(), spec.c_in)
+        k, n_out = decomposed_weight_slice(weights, spec, tile).shape
+        assert (k, n_out) == (spec.c_in, spec.c_out)
+        macs += n * h * w * c * n_out
+    assert macs == spec.macs
 
 
 def test_plan_tile_footprint_shrinks_with_stride(small_spec):
     """The stride-insensitivity mechanism: per-tile input shrinks with the
     OFMap, quadratically in stride."""
-    base = ChannelFirstPlan.build(small_spec).tile_input_elements
+    def tile_input_elements(spec):
+        padded = pad_ifmap(random_conv_operands(spec)[0], spec.padding)
+        return decomposed_tile_view(padded, spec, decompose(spec)[0]).size
+
+    base = tile_input_elements(small_spec)
     spec2 = small_spec.with_stride(2)
-    strided = ChannelFirstPlan.build(spec2).tile_input_elements
+    strided = tile_input_elements(spec2)
     ratio = base / strided
     assert ratio == pytest.approx(
         (small_spec.h_out * small_spec.w_out) / (spec2.h_out * spec2.w_out)

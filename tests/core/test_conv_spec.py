@@ -79,8 +79,10 @@ class TestConvSpec:
         assert any_spec.gemm_shape().macs == any_spec.macs
 
     def test_decomposed_gemm_covers_total(self, any_spec):
-        d = any_spec.decomposed_gemm_shape()
-        assert d.macs * any_spec.positions == any_spec.macs
+        """One [N*H_O*W_O, C_I] x [C_I, C_O] GEMM per filter position
+        covers the whole convolution (Sec. III-B)."""
+        s = any_spec
+        assert s.lowered_rows() * s.c_in * s.c_out * s.positions == s.macs
 
     def test_lowering_expansion_at_least_near_one(self, small_spec):
         # stride 1, 3x3 with padding: close to 9x

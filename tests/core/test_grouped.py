@@ -67,8 +67,9 @@ class TestAccounting:
         assert grouped.weight_shape == (8, 2, 3, 3)
 
     def test_depthwise_flag(self, base):
-        assert depthwise_spec(n=1, channels=8, hw=6).is_depthwise
-        assert not GroupedConvSpec(base=base, groups=2).is_depthwise
+        """A depthwise layer has one group per channel, in and out."""
+        spec = depthwise_spec(n=1, channels=8, hw=6)
+        assert spec.groups == spec.base.c_in == spec.base.c_out == 8
 
     def test_per_group_spec(self, base):
         group_spec = GroupedConvSpec(base=base, groups=4).per_group_spec()

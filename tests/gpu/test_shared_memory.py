@@ -10,7 +10,6 @@ from repro.gpu import (
     gemm_a_traffic_bytes,
     gemm_b_traffic_bytes,
     gemm_c_traffic_bytes,
-    shared_tile_fits,
 )
 
 
@@ -85,7 +84,3 @@ class TestChannelFirstFill:
                         h_filter=1, w_filter=1)
         bytes_ = channel_first_fill_bytes(spec, V100, reuse_fraction=0.0)
         assert bytes_ == spec.lowered_rows() * spec.c_in * 2
-
-
-def test_default_tiles_fit_shared_memory(spec):
-    assert shared_tile_fits(spec, V100)

@@ -38,6 +38,13 @@ class TestTable1:
             assert 1.5 <= expansion[i] <= 12.0
 
 
+class TestTable2:
+    def test_configuration_strings(self, results):
+        rendered = results["table2"].render()
+        for text in ("128 x 128", "32 MB", "700 GB/s"):
+            assert text in rendered
+
+
 class TestFig2:
     def test_gpu_explicit_slower_everywhere(self, results):
         table = results["fig2"].table("Fig 2a: V100 GPU (normalized to implicit)")
@@ -133,6 +140,11 @@ class TestValidationErrors:
         mae = table.rows[0][1]
         assert mae < 10.0  # paper: 5.8%
 
+    def test_fig15a_per_network(self, results):
+        table = results["fig15"].table("Fig 15a: per-network conv latency (ms)")
+        for error in table.column("error %"):
+            assert error < 12.0
+
 
 class TestFig14Shape:
     def test_workspace_linear_performance_plateau(self, results):
@@ -148,6 +160,7 @@ class TestFig14Shape:
         # speedup rises to W_F=3 then plateaus
         assert speedups[1] > 1.2
         assert speedups[2] > speedups[1]
+        assert speedups[2] > 1.5  # 3 tiles beat 1 substantially
         for later in speedups[3:]:
             assert later == pytest.approx(speedups[2], rel=0.05)
 
@@ -170,6 +183,9 @@ class TestFig16Shape:
         assert idles == sorted(idles)
         by_word = dict(zip(table.column("word (elems)"), idles))
         assert by_word[8] == pytest.approx(0.75)
+        ratios = dict(zip(table.column("word (elems)"), table.column("area vs word-32")))
+        # word-1-element (4 B) vs word-8-element (32 B): the paper's 3.2x point
+        assert 2.5 <= ratios[1] / ratios[8] <= 4.0
 
 
 class TestFig17Shape:

@@ -61,12 +61,15 @@ class TestSummaryPricing:
     def test_fragmented_slower_per_byte(self, hbm):
         nbytes = 1 << 20
         contiguous = hbm.contiguous_cycles(nbytes)
-        scattered = hbm.strided_cycles(nbytes, run_bytes=64)
+        scattered = hbm.transfer_cycles(TransferStats(bytes=nbytes, runs=nbytes // 64))
         assert scattered > 2 * contiguous
 
     def test_monotone_in_run_length(self, hbm):
         nbytes = 1 << 20
-        costs = [hbm.strided_cycles(nbytes, run_bytes=r) for r in (32, 128, 1024, 8192)]
+        costs = [
+            hbm.transfer_cycles(TransferStats(bytes=nbytes, runs=nbytes // r))
+            for r in (32, 128, 1024, 8192)
+        ]
         assert costs == sorted(costs, reverse=True)
 
     def test_span_caps_row_misses(self, hbm):
@@ -91,7 +94,7 @@ class TestSummaryPricing:
         with pytest.raises(ValueError):
             hbm.contiguous_cycles(-1)
         with pytest.raises(ValueError):
-            hbm.strided_cycles(100, 0)
+            hbm.transfer_cycles(TransferStats(bytes=100, runs=-1))
 
 
 class TestTracePricing:

@@ -37,9 +37,6 @@ class TestMonotonicity:
     def test_area_increases_with_capacity(self, model):
         assert model.area_um2(2 * CAP, 32) > model.area_um2(CAP, 32)
 
-    def test_latency_increases_with_capacity(self, model):
-        assert model.access_latency_ns(2 * CAP) > model.access_latency_ns(CAP)
-
     def test_energy_increases_with_word(self, model):
         assert model.access_energy_pj(32) > model.access_energy_pj(4)
 
@@ -53,10 +50,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             model.area_um2(0, 4)
         with pytest.raises(ValueError):
-            model.access_latency_ns(0)
-        with pytest.raises(ValueError):
-            model.access_latency_cycles(CAP, 0)
-        with pytest.raises(ValueError):
             model.access_energy_pj(0)
 
     def test_config_rejects_nonpositive(self):
@@ -68,11 +61,6 @@ class TestUnits:
     def test_mm2_conversion(self, model):
         assert model.area_mm2(CAP, 32) == pytest.approx(model.area_um2(CAP, 32) / 1e6)
 
-    def test_latency_cycles_scales_with_clock(self, model):
-        ns = model.access_latency_ns(CAP)
-        assert model.access_latency_cycles(CAP, 0.7) == pytest.approx(0.7 * ns)
-
     def test_reasonable_magnitudes(self, model):
-        """A 256 KB macro should be O(1) mm^2 and sub-ns-to-ns latency."""
+        """A 256 KB macro should be O(1) mm^2."""
         assert 0.3 < model.area_mm2(CAP, 32) < 5.0
-        assert 0.1 < model.access_latency_ns(CAP) < 5.0

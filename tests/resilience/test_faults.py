@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError, PermanentFault, TransientFault
 from repro.memory.dram import HBMConfig, HBMModel
-from repro.memory.sram import SRAMModel
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 
@@ -22,7 +21,7 @@ def _no_active_plan():
 def test_parse_full_spec():
     plan = FaultPlan.parse(
         "seed=7,crash@1,hang@2:3,flaky@0:2,fatal@4,corrupt-checkpoint@5,"
-        "dram-drop=0.25,dram-delay=100,sram-latency=2.5,sram-capacity=0.5"
+        "dram-drop=0.25,dram-delay=100"
     )
     assert plan.seed == 7
     assert plan.crash == {1: 1}
@@ -32,8 +31,6 @@ def test_parse_full_spec():
     assert plan.corrupt_checkpoint == {5}
     assert plan.dram_drop == 0.25
     assert plan.dram_delay_cycles == 100
-    assert plan.sram_latency_factor == 2.5
-    assert plan.sram_capacity_factor == 0.5
 
 
 @pytest.mark.parametrize(
@@ -44,6 +41,8 @@ def test_parse_full_spec():
         "dram-drop=oops",     # non-numeric parameter
         "dram-drop=1.5",      # probability out of range
         "warp=9",             # unknown parameter
+        "sram-latency=2",     # no model reads SRAM latency
+        "sram-capacity=0.5",  # nor an SRAM capacity assumption
         "justaword",          # no @ or =
     ],
 )
@@ -102,20 +101,6 @@ def test_dram_hook_only_fires_when_active():
     assert plan.counters["dram_dropped"] >= 1
     faults.deactivate()
     assert hbm.contiguous_cycles(1 << 20) == baseline
-
-
-def test_sram_latency_and_capacity_flips():
-    model = SRAMModel()
-    baseline = model.access_latency_ns(256 * 1024)
-    plan = faults.activate(FaultPlan.parse("sram-latency=3"))
-    assert model.access_latency_ns(256 * 1024) == pytest.approx(3 * baseline)
-    faults.deactivate()
-    faults.activate(FaultPlan.parse("sram-capacity=4"))
-    # Believing it has 4x the capacity makes the modelled latency larger.
-    assert model.access_latency_ns(256 * 1024) > baseline
-    faults.deactivate()
-    assert model.access_latency_ns(256 * 1024) == baseline
-    assert plan.counters["sram_latency_flipped"] >= 1
 
 
 # --------------------------------------------------------- checkpoint faults

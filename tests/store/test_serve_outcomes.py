@@ -9,8 +9,8 @@ as an object.  These tests drive real sockets and pin that ledger: a
 joiner shares its flight's failure, a timed-out waiter is charged while
 another still waits, a withdrawn probe gives its slot back, a query
 arriving while an abandoned miss is pricing joins that pricing, a refused
-batch prices none of its queries, and a drain waits for the last flight
-without polling.
+batch prices none of its queries and books even its warm ones as refused,
+and a drain waits for the last flight without polling.
 """
 
 import asyncio
@@ -237,6 +237,35 @@ def test_a_refused_batch_prices_and_books_none_of_its_queries():
     assert service.budget.faults_by_class == {"LoadShed": 2}
     assert service.simulations == 0
     assert service._queue == [] and service._inflight == {}
+
+
+def test_a_refused_batch_books_its_warm_query_as_refused():
+    """A warm query is answered at admission, before a later query of the
+    same batch is shed: the client sees the 429, so the budget must too."""
+    async def scenario():
+        service, server, host, port = await _boot(max_pending=1)
+        try:
+            for _ in range(2):  # price SPEC cold, then hit it warm
+                status, _ = await http_request(
+                    host, port, "POST", "/v1/conv", {"spec": SPEC}
+                )
+                assert status == 200
+            assert _budget(service) == (2, 2, 0)
+            status, _ = await http_request(
+                host, port, "POST", "/v1/conv/batch",
+                {"queries": [{"spec": SPEC}, {"spec": _cold(64)},
+                             {"spec": _cold(72)}]},
+            )
+        finally:
+            await server.shutdown()
+        return service, status
+
+    service, status = asyncio.run(scenario())
+    assert status == 429
+    assert _budget(service) == (5, 2, 3)
+    assert service.budget.faults_by_class == {"LoadShed": 3}
+    assert service.simulations == 1
+    assert service._refused == {}
 
 
 def test_every_outcome_is_counted_once_and_the_counts_agree():

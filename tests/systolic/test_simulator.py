@@ -59,10 +59,9 @@ class TestTimingShapes:
         """Fig 4b: channel-first TFLOPS barely moves with stride."""
         layer = ConvSpec(n=64, c_in=128, h_in=28, w_in=28, c_out=128,
                          h_filter=3, w_filter=3, stride=1, padding=1)
-        results = sim.stride_sweep(layer, [1, 2, 4])
-        base = results[1].tflops
+        base = sim.simulate_conv(layer).tflops
         for stride in (2, 4):
-            assert results[stride].tflops > 0.8 * base
+            assert sim.simulate_conv(layer.with_stride(stride)).tflops > 0.8 * base
 
     def test_multi_tile_speedup_and_plateau(self, sim):
         """Fig 14a: speedup up to W_F tiles, then a plateau."""
@@ -92,7 +91,6 @@ class TestTimingShapes:
         result = sim.simulate_conv(small_spec.with_batch(8))
         assert result.cycles > 0
         assert result.macs == small_spec.with_batch(8).macs
-        assert result.latency_s(0.7) == pytest.approx(result.cycles / 0.7e9)
 
 
 class TestNetworkAggregation:

@@ -24,8 +24,12 @@ class TestPortAccounting:
         assert accounting.busy_fraction == pytest.approx(expected_busy)
 
     def test_contention_free_needs_word_ge_2(self):
-        assert VectorMemoryModel(TPU_V2).contention_free()
-        assert not VectorMemoryModel(TPU_V2.with_word_elems(1)).contention_free()
+        """The single port keeps up (at most one access per cycle) iff the
+        word holds at least two elements."""
+        for word, free in ((8, True), (2, True), (1, False)):
+            model = VectorMemoryModel(TPU_V2.with_word_elems(word))
+            accounting = model.steady_state_accounting(1.0)
+            assert (accounting.read_accesses + accounting.write_accesses <= 1) == free
 
     def test_reads_and_writes_interleave(self):
         """Sec. IV-A: one read + one write per word_elems cycles each."""
@@ -43,7 +47,7 @@ class TestPortAccounting:
             VectorMemoryModel(TPU_V2).steady_state_accounting(-1)
 
     def test_capacity_per_memory(self):
-        assert VectorMemoryModel(TPU_V2).capacity_per_memory() == 32 * 1024 * 1024 // 128
+        assert TPU_V2.per_memory_bytes == 32 * 1024 * 1024 // 128
 
 
 class TestFunctionalMemory:
@@ -71,7 +75,7 @@ class TestFunctionalMemory:
     def test_word_bounds(self):
         mem = FunctionalVectorMemory(word_elems=2, num_words=2)
         with pytest.raises(IndexError):
-            mem.read_word(2)
+            mem.load_into_serializer(2)
         with pytest.raises(IndexError):
             mem.write_word(-1, np.zeros(2))
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ConvSpec, GroupedConvSpec
-from repro.workloads import mobilenet_v1, mobilenet_v1_pointwise_only
+from repro.workloads import mobilenet_v1
 
 
 def test_layer_count():
@@ -21,7 +21,7 @@ def test_depthwise_blocks_are_grouped():
     layers = mobilenet_v1(1)
     depthwise = [l for l in layers if isinstance(l, GroupedConvSpec)]
     assert len(depthwise) == 13
-    assert all(l.is_depthwise for l in depthwise)
+    assert all(l.groups == l.base.c_in == l.base.c_out for l in depthwise)
 
 
 def test_channel_chaining():
@@ -36,7 +36,8 @@ def test_channel_chaining():
 
 
 def test_pointwise_only_subset():
-    dense = mobilenet_v1_pointwise_only(1)
+    """The dense layers (stem + pointwise) are what the GEMM engine runs."""
+    dense = [l for l in mobilenet_v1(1) if isinstance(l, ConvSpec)]
     assert all(isinstance(l, ConvSpec) for l in dense)
     assert len(dense) == 14
     assert all(l.is_pointwise() for l in dense[1:])
