@@ -1,4 +1,4 @@
-.PHONY: install test test-fast bench profile experiments export examples api-doc cli-surface goldens sentinel bench-history fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke results-check reach ci all
+.PHONY: install test test-fast profile experiments export examples api-doc cli-surface goldens fault-matrix fault-smoke audit-smoke fuzz-smoke store-stress serve-smoke serve-chaos report-smoke dse-smoke results-check reach ci all
 
 export PYTHONPATH := src
 
@@ -10,9 +10,6 @@ test:
 
 test-fast:
 	pytest tests/ -m "not goldens"
-
-bench:
-	python benchmarks/bench_perf.py
 
 profile:
 	python -c "import cProfile, pstats, sys; \
@@ -42,12 +39,6 @@ cli-surface:
 
 goldens:
 	python tools/gen_goldens.py
-
-sentinel:
-	python tools/check_regression.py
-
-bench-history: bench
-	python tools/check_regression.py --append --skip-goldens
 
 fault-matrix:
 	python -m pytest -q tests/resilience/
@@ -84,7 +75,6 @@ ci:
 	python -m pytest -x -q -m "not goldens" tests/
 	python -m pytest -q -m goldens tests/
 	$(MAKE) results-check
-	python tools/check_regression.py
 	python tools/fault_smoke.py
 	$(MAKE) audit-smoke
 	python -m repro fuzz --specs 200 --seed 0 --no-corpus
@@ -96,4 +86,4 @@ ci:
 	$(MAKE) reach
 	python -m pytest benchmarks/suite -q
 
-all: test bench experiments
+all: test experiments

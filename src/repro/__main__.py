@@ -2,13 +2,12 @@
 
 Commands (``repro <command> --help`` lists a command's flags):
 
-- ``run`` — regenerate the paper's tables and figures (``experiments`` is the
-  legacy spelling; ``python -m repro.harness.runner`` is the same command).
+- ``run`` — regenerate the paper's tables and figures
+  (``python -m repro.harness.runner`` is the same command).
 - ``simulate-conv`` — time one conv layer on TPUSim and the V100 model.
 - ``simulate-network`` — time a whole CNN.
 - ``sweep-stride`` — the stride study for one layer across all paths.
 - ``list-networks`` — the available workload tables.
-- ``sentinel`` — the perf-regression and golden bit-exactness gate.
 - ``serve`` — answer ConvSpec timing queries over HTTP/JSON.
 - ``store verify|stats|compact`` — check, describe or compact a result store.
 - ``dse sweep|status|replay`` — crash-safe design-space exploration.
@@ -36,7 +35,6 @@ from .harness import runner
 from .harness.attribution import add_report_args
 from .obs import log as obs_log
 from .obs.flight.top import add_top_args
-from .obs.sentinel import add_sentinel_args, run_sentinel
 from .store.serve import add_serve_args
 from .systolic.simulator import TPUSim
 from .workloads.networks import network, network_names
@@ -158,10 +156,6 @@ def cmd_list_networks(args) -> int:
     return 0
 
 
-def cmd_sentinel(args) -> int:
-    return run_sentinel(args=args)
-
-
 def cmd_store(args) -> int:
     from .store import ResultStore
 
@@ -238,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_run_args(p)
 
     p = sub.add_parser(
-        "experiments", parents=[obs_parent],
-        help="legacy alias of `run`",
-    )
-    runner.add_run_args(p)
-
-    p = sub.add_parser(
         "simulate-conv", parents=[obs_parent],
         help="time one conv layer on both platforms",
     )
@@ -268,13 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list-networks", parents=[obs_parent], help="available workload tables"
     )
     p.set_defaults(func=cmd_list_networks)
-
-    p = sub.add_parser(
-        "sentinel", parents=[obs_parent],
-        help="perf-drift + golden bit-exactness regression gate",
-    )
-    add_sentinel_args(p)
-    p.set_defaults(func=cmd_sentinel)
 
     p = sub.add_parser(
         "serve", parents=[obs_parent],

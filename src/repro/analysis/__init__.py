@@ -6,11 +6,9 @@ from .metrics import (
     error_stats,
     geometric_mean,
     mean_absolute_percentage_error,
-    normalized,
     relative_error,
-    tflops,
 )
-from .roofline import RooflinePoint, conv_roofline, gemm_roofline, ridge_intensity
+from .roofline import RooflinePoint, conv_roofline, gemm_roofline
 from .validation import ValidationPoint, ValidationRun
 
 __all__ = [
@@ -18,13 +16,10 @@ __all__ = [
     "error_stats",
     "geometric_mean",
     "mean_absolute_percentage_error",
-    "normalized",
     "relative_error",
-    "tflops",
     "RooflinePoint",
     "conv_roofline",
     "gemm_roofline",
-    "ridge_intensity",
     "ValidationPoint",
     "ValidationRun",
 ]

@@ -7,28 +7,12 @@ import math
 from typing import Sequence
 
 __all__ = [
-    "tflops",
-    "normalized",
     "relative_error",
     "mean_absolute_percentage_error",
     "ErrorStats",
     "error_stats",
     "geometric_mean",
 ]
-
-
-def tflops(macs: int, seconds: float) -> float:
-    """TFLOPS at 2 FLOPs per MAC."""
-    if seconds <= 0:
-        raise ValueError(f"seconds must be positive, got {seconds}")
-    return 2 * macs / seconds / 1e12
-
-
-def normalized(values: Sequence[float], reference: float) -> list:
-    """Values divided by a reference (the paper's normalized-time bars)."""
-    if reference <= 0:
-        raise ValueError(f"reference must be positive, got {reference}")
-    return [v / reference for v in values]
 
 
 def relative_error(simulated: float, measured: float) -> float:

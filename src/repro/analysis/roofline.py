@@ -15,7 +15,6 @@ __all__ = [
     "RooflinePoint",
     "conv_roofline",
     "gemm_roofline",
-    "ridge_intensity",
     "cycle_lower_bound",
 ]
 
@@ -28,13 +27,6 @@ class RooflinePoint:
     attainable_tflops: float
     peak_tflops: float
     bound: str  # "compute" | "memory"
-
-
-def ridge_intensity(peak_tflops: float, bandwidth_gbps: float) -> float:
-    """The intensity at which the rooflines meet (FLOPs/byte)."""
-    if peak_tflops <= 0 or bandwidth_gbps <= 0:
-        raise ValueError("peak and bandwidth must be positive")
-    return peak_tflops * 1e12 / (bandwidth_gbps * 1e9)
 
 
 def _place(flops: int, traffic_bytes: int, peak_tflops: float, bandwidth_gbps: float):

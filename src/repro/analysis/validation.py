@@ -8,7 +8,7 @@ errors, the average error, and the layer-wise error distribution.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List
 
 from .metrics import ErrorStats, error_stats, mean_absolute_percentage_error, relative_error
 
@@ -40,10 +40,6 @@ class ValidationRun:
         self.points.append(point)
         return point
 
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(p.label for p in self.points)
-
     def mape(self) -> float:
         """Mean absolute percentage error — the paper's headline number."""
         return mean_absolute_percentage_error(
@@ -54,16 +50,3 @@ class ValidationRun:
         return error_stats(
             [p.simulated for p in self.points], [p.measured for p in self.points]
         )
-
-    def worst(self, k: int = 3) -> Sequence[ValidationPoint]:
-        """The k worst-validated points (useful when debugging the model)."""
-        return sorted(self.points, key=lambda p: p.error_pct, reverse=True)[:k]
-
-    def assert_mape_below(self, threshold_pct: float) -> None:
-        """Raise if the run's MAPE exceeds a threshold (used by tests)."""
-        actual = self.mape()
-        if actual > threshold_pct:
-            worst = ", ".join(f"{p.label}:{p.error_pct:.1f}%" for p in self.worst())
-            raise AssertionError(
-                f"{self.name}: MAPE {actual:.2f}% exceeds {threshold_pct}% (worst: {worst})"
-            )

@@ -23,7 +23,6 @@ filter flattening in both orders, and the Table I memory accounting.
 from __future__ import annotations
 
 import enum
-from typing import Tuple
 
 import numpy as np
 

@@ -27,13 +27,13 @@ Provided here:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .channel_first import DecomposedFilter, decompose
 from .conv_spec import ConvSpec
-from .reference import direct_conv2d, pad_ifmap
+from .reference import pad_ifmap
 
 __all__ = [
     "PositionMask",

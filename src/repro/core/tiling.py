@@ -18,8 +18,7 @@ Two distinct tilings live here:
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -20,9 +20,7 @@ at-scale exploration; that experiment remains for the paper-sized tables.
 
 from __future__ import annotations
 
-import argparse
 import json
-from typing import List, Optional
 
 from ..errors import ConfigError
 from ..obs import log as obs_log

@@ -47,7 +47,7 @@ from ..obs.flight import configure_recorder, get_beacon, maybe_dump
 from ..resilience.atomic import atomic_write_text
 from ..resilience.quarantine import QuarantineFile, QuarantineRecord
 from .chaos import ChaosPlan
-from .evaluate import parse_workload, workload_layers
+from .evaluate import workload_layers
 from .frontier import (
     FrontierJournal,
     FrontierPoint,

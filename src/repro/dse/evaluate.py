@@ -21,7 +21,7 @@ the frontier artifact be compared byte-for-byte across runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from ..errors import ConfigError
 from .space import DesignPoint

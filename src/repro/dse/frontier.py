@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 from ..resilience.atomic import JsonlReader, atomic_write_bytes, crash_safe_append
 from .evaluate import point_cost_mm2

@@ -27,8 +27,7 @@ high-water occupancy, and output write counts.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

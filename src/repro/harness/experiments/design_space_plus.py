@@ -24,9 +24,8 @@ from __future__ import annotations
 import dataclasses
 
 from ...core.conv_spec import ConvSpec
-from ...memory.dram import HBMConfig
 from ...systolic.config import TPU_V2
-from ...systolic.dual_mxu import port_budget_allows, simulate_conv_dual_mxu
+from ...systolic.dual_mxu import simulate_conv_dual_mxu
 from ...systolic.simulator import TPUSim
 from ...workloads.networks import vgg16
 from ..report import ExperimentResult, Table

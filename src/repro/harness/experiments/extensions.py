@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from ...core.conv_spec import ConvSpec, GemmShape
 from ...core.grouped import GroupedConvSpec, depthwise_spec
-from ...systolic.config import TPU_V2
 from ...systolic.network_scheduler import (
     plan_residency,
     residency_traffic_saved_bytes,
     simulate_network_resident,
 )
 from ...systolic.simulator import TPUSim
-from ...systolic.vector_unit import skew_restore_cycles, skewed_layout_overhead
+from ...systolic.vector_unit import skewed_layout_overhead
 from ...workloads.mobilenet import mobilenet_v1
 from ...workloads.networks import vgg16
 from ..report import ExperimentResult, Table

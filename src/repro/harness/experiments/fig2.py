@@ -13,7 +13,6 @@ Paper: explicit ~23% slower, transform overhead ~26%.
 
 from __future__ import annotations
 
-from ...core.conv_spec import GemmShape
 from ...gpu.config import V100
 from ...gpu.explicit import im2col_transform_time
 from ...obs import log as obs_log

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

@@ -1,9 +1,9 @@
-"""Run-level observability: logging, manifests, profiling, metrics, sentinel.
+"""Run-level observability: logging, manifests, profiling, metrics.
 
 Where :mod:`repro.trace` makes the *simulators* observable (cycle spans,
 golden snapshots), this package makes the *harness* observable — the layer
-above, answering "what ran, on what code, at what cost, and is it getting
-slower?".  Five pieces:
+above, answering "what ran, on what code, and at what cost?".  Four
+pieces:
 
 - :mod:`repro.obs.log` — structured JSONL event logging plus the console
   channel that replaced the harness's bare prints (``--log-level``,
@@ -14,10 +14,7 @@ slower?".  Five pieces:
   tracemalloc peak per experiment) and its hotspot table;
 - :mod:`repro.obs.prom` — Prometheus text exposition of the
   :class:`repro.trace.MetricsRegistry`'s counters/gauges/histograms to
-  ``results/<run_id>/metrics.prom``;
-- :mod:`repro.obs.sentinel` — the perf-regression gate over
-  ``BENCH_history.jsonl`` and the trace goldens
-  (``tools/check_regression.py`` / ``repro sentinel``).
+  ``results/<run_id>/metrics.prom``.
 
 Everything follows the trace layer's contract: **off by default, zero
 footprint when off** — a default run's stdout and ``results/`` artifacts
@@ -37,17 +34,6 @@ from .manifest import (
 )
 from .profiler import PhaseProfiler, PhaseSample, render_hotspots
 from .prom import render_prometheus, write_prometheus
-from .sentinel import (
-    append_history,
-    check_goldens,
-    check_perf,
-    flatten_metrics,
-    history_entry,
-    load_history,
-    metric_direction,
-    rolling_baseline,
-    run_sentinel,
-)
 
 __all__ = [
     "log",
@@ -64,13 +50,4 @@ __all__ = [
     "render_hotspots",
     "render_prometheus",
     "write_prometheus",
-    "append_history",
-    "check_goldens",
-    "check_perf",
-    "flatten_metrics",
-    "history_entry",
-    "load_history",
-    "metric_direction",
-    "rolling_baseline",
-    "run_sentinel",
 ]

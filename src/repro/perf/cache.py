@@ -349,8 +349,8 @@ def fingerprint(value: Any) -> Any:
 @functools.lru_cache(maxsize=None)
 def _dataclass_fingerprint(value: Any) -> Tuple:
     """Memoized dataclass fingerprint — the ``dataclasses.fields`` reflection
-    dominates warm ``simulate_conv`` dispatch otherwise (BENCH_perf latency
-    histograms put warm calls at ~40µs, most of it key construction)."""
+    dominates warm ``simulate_conv`` dispatch otherwise (a warm call measured
+    ~40µs, most of it key construction)."""
     return (type(value).__name__,) + tuple(
         fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value)
     )

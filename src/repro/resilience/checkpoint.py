@@ -25,7 +25,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..harness.report import ExperimentResult, Table
 from ..obs import log as obs_log

@@ -61,7 +61,7 @@ import dataclasses
 import os
 import random
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..errors import ConfigError, PermanentFault, TransientFault
 

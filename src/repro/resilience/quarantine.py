@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..obs import log as obs_log
 from .atomic import JsonlReader, crash_safe_append

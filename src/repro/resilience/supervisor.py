@@ -42,8 +42,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
-    AuditFault,
-    PermanentFault,
     TransientFault,
     classify_error,
 )

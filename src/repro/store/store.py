@@ -42,7 +42,6 @@ import hashlib
 import json
 import os
 import pathlib
-import time
 from typing import Any, Iterator, List, Optional, Tuple
 
 from ..obs import log as obs_log

@@ -40,7 +40,7 @@ import signal
 import socket
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..obs import log as obs_log
 from ..obs.flight import beacon as flight_beacon

@@ -29,9 +29,8 @@ per memory rather than a crossbar.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Tuple
+from typing import List
 
-from ..core.channel_first import DecomposedFilter
 from ..core.conv_spec import ConvSpec
 
 __all__ = ["tile_word_offsets", "skewed_schedule", "AddressGenerator"]

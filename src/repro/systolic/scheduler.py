@@ -19,7 +19,6 @@ picture (Figs 3 and 8b) while also exposing the first fill and final drain.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import List, Optional
 
 from ..core.conv_spec import ConvSpec, GemmShape

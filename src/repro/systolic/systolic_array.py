@@ -31,8 +31,7 @@ Dataflow conventions (matching Fig 9/10 of the paper):
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 

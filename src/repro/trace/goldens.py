@@ -27,7 +27,6 @@ Floats survive the JSON round-trip exactly: ``json`` serialises via
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Callable, Dict, List
 
@@ -36,7 +35,7 @@ from ..core.layouts import Layout
 from ..gpu.channel_first import channel_first_conv_time
 from ..gpu.config import V100
 from ..gpu.cudnn_model import cudnn_conv_time
-from ..systolic.config import TPU_V2, TPUConfig
+from ..systolic.config import TPU_V2
 from ..systolic.scheduler import ifmap_rows_per_block
 from ..systolic.simulator import TPUSim
 from ..workloads.networks import network, network_names

@@ -220,18 +220,6 @@ class Histogram:
         self.sum += other.sum
         self.count += other.count
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (benchmark reports embed these)."""
-        return {
-            "buckets": [
-                {"le": bound, "count": count}
-                for bound, count in zip(self.buckets, self.counts)
-                if count
-            ],
-            "sum": self.sum,
-            "count": self.count,
-        }
-
 
 class MetricsRegistry:
     """Accumulates audited records and cross-checks cache coherence.

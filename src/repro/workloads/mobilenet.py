@@ -13,7 +13,7 @@ depthwise-separable blocks (depthwise 3x3 + pointwise 1x1).
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from ..core.conv_spec import ConvSpec
 from ..core.grouped import GroupedConvSpec

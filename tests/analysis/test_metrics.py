@@ -6,28 +6,8 @@ from repro.analysis import (
     error_stats,
     geometric_mean,
     mean_absolute_percentage_error,
-    normalized,
     relative_error,
-    tflops,
 )
-
-
-class TestTflops:
-    def test_basic(self):
-        assert tflops(macs=5e11, seconds=1.0) == pytest.approx(1.0)
-
-    def test_rejects_zero_time(self):
-        with pytest.raises(ValueError):
-            tflops(1, 0)
-
-
-class TestNormalized:
-    def test_values(self):
-        assert normalized([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_zero_reference(self):
-        with pytest.raises(ValueError):
-            normalized([1.0], 0.0)
 
 
 class TestErrors:

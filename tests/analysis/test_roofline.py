@@ -2,18 +2,8 @@
 
 import pytest
 
-from repro.analysis import conv_roofline, gemm_roofline, ridge_intensity
+from repro.analysis import conv_roofline, gemm_roofline
 from repro.core import ConvSpec, GemmShape
-
-
-def test_ridge_intensity():
-    # 22.9 TFLOPS over 700 GB/s -> ~32.8 FLOPs/byte
-    assert ridge_intensity(22.9, 700) == pytest.approx(32.7, rel=0.01)
-
-
-def test_ridge_validation():
-    with pytest.raises(ValueError):
-        ridge_intensity(0, 700)
 
 
 def test_big_gemm_compute_bound():

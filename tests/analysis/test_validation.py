@@ -26,21 +26,3 @@ def test_stats(run):
     stats = run.stats()
     assert stats.count == 3
     assert stats.max_pct == pytest.approx(20.0)
-
-
-def test_worst_ordering(run):
-    worst = run.worst(2)
-    assert [p.label for p in worst] == ["c", "a"] or [p.label for p in worst] == ["c", "b"]
-
-
-def test_labels(run):
-    assert run.labels == ("a", "b", "c")
-
-
-def test_assert_mape_below_passes(run):
-    run.assert_mape_below(15.0)
-
-
-def test_assert_mape_below_fails(run):
-    with pytest.raises(AssertionError, match="MAPE"):
-        run.assert_mape_below(5.0)

@@ -39,11 +39,6 @@ def test_sweep_stride(capsys):
     assert "TPU CF" in out and "GEMM" in out
 
 
-def test_experiments_subcommand(capsys):
-    assert main(["experiments", "table2"]) == 0
-    assert "Table II" in capsys.readouterr().out
-
-
 def test_run_subcommand(capsys):
     assert main(["run", "table2"]) == 0
     assert "Table II" in capsys.readouterr().out
@@ -79,24 +74,6 @@ def test_cli_manifest_written(tmp_path, monkeypatch, capsys):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["tool"] == "repro.simulate-conv"
     assert manifest["exit_code"] == 0
-
-
-def test_sentinel_subcommand(tmp_path, capsys):
-    import json
-
-    current = tmp_path / "BENCH_perf.json"
-    current.write_text(json.dumps({"harness_wall_seconds": 1.0}))
-    history = tmp_path / "hist.jsonl"
-    history.write_text(
-        json.dumps({"schema": 1, "metrics": {"harness_wall_seconds": 1.0}}) + "\n"
-    )
-    assert main(
-        [
-            "sentinel", "--current", str(current),
-            "--history", str(history), "--skip-goldens",
-        ]
-    ) == 0
-    assert "sentinel: OK" in capsys.readouterr().out
 
 
 def test_unknown_command_rejected():

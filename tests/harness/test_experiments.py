@@ -104,11 +104,6 @@ class TestFig7:
 
     def test_hwc_advantage_grows_with_stride(self, results):
         table = results["fig7"].table("Fig 7: tile-fill cost by DRAM layout")
-        by_stride = {}
-        for stride, layout, *_rest, cycles, bw in [
-            (r[0], r[1], r[4], r[5]) for r in table.rows
-        ]:
-            pass  # structure handled below
         grouped = {}
         for row in table.rows:
             grouped.setdefault(row[0], {})[row[1]] = row[4]

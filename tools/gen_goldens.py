@@ -38,11 +38,6 @@ def main(argv=None) -> int:
         nargs="*",
         help=f"experiment ids to regenerate (default: all of {list(GOLDEN_EXPERIMENTS)})",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the stored files instead of writing; exit 1 on drift",
-    )
     args = parser.parse_args(argv)
     ids = args.experiments or list(GOLDEN_EXPERIMENTS)
     for eid in ids:
@@ -51,23 +46,11 @@ def main(argv=None) -> int:
                 f"no golden set for {eid!r}; known: {sorted(GOLDEN_EXPERIMENTS)}"
             )
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    drifted = []
     for eid in ids:
         payload = compute_golden(eid)
         path = GOLDEN_DIR / golden_filename(eid)
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        if args.check:
-            if not path.exists() or path.read_text() != text:
-                drifted.append(eid)
-                print(f"{eid}: DRIFT ({path})")
-            else:
-                print(f"{eid}: ok ({len(payload['entries'])} entries)")
-        else:
-            path.write_text(text)
-            print(f"wrote {path} ({len(payload['entries'])} entries)")
-    if drifted:
-        print(f"{len(drifted)} golden set(s) drifted; regenerate with: make goldens")
-        return 1
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path} ({len(payload['entries'])} entries)")
     return 0
 
 

@@ -134,18 +134,6 @@ KEPT = {
         _ONLY.format("tests/core/test_tiling.py::TestDuplication"),
     "repro.gpu.tensor_core:padded_macs":
         _ONLY.format("tests/gpu/test_tensor_core.py::TestPadding"),
-    "repro.analysis.metrics:tflops":
-        _ONLY.format("tests/analysis/test_metrics.py::TestTflops"),
-    "repro.analysis.metrics:normalized":
-        _ONLY.format("tests/analysis/test_metrics.py::TestNormalized"),
-    "repro.analysis.roofline:ridge_intensity":
-        _ONLY.format("tests/analysis/test_roofline.py::test_ridge_*"),
-    "repro.analysis.validation:ValidationRun.labels":
-        _ONLY.format("tests/analysis/test_validation.py::test_labels"),
-    "repro.analysis.validation:ValidationRun.worst":
-        _ONLY.format("tests/analysis/test_validation.py::test_worst_ordering"),
-    "repro.analysis.validation:ValidationRun.assert_mape_below":
-        _ONLY.format("tests/analysis/test_validation.py::test_assert_mape_below_*"),
 }
 
 
