@@ -53,7 +53,7 @@ HELP_TEXT: Dict[str, str] = {
     "repro_serve_batch_seconds": "Engine wall time per served batch.",
     "repro_serve_pending": "Distinct misses queued or pricing in the serve daemon.",
     "repro_serve_draining": "1 while the serve daemon is draining for shutdown.",
-    "repro_serve_degraded": "Current degradation-ladder rung (0=full 1=serial 2=store-only 3=drain).",
+    "repro_serve_degraded": "Current degradation-ladder rung (0=full 1=store-only 2=drain).",
     "repro_serve_rung_changes_total": "Degradation-ladder rung changes (escalations and recoveries).",
     "repro_serve_breaker_trips_total": "Circuit-breaker trips (a spec fingerprint went open).",
     "repro_serve_breaker_fastfail_total": "Queries fast-failed with 422 by an open circuit breaker.",

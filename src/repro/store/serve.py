@@ -16,10 +16,11 @@ Request handling is built for fleets of duplicate queries:
   identical to a miss already queued or pricing joins that miss's flight
   — N clients asking for ResNet conv3_1 cost one simulation, and each
   query keeps its own future;
-- **batching**: queued misses are drained every ``batch_window_s`` (or
-  when ``max_batch`` accumulate) and grouped by hardware config into
-  single :meth:`TPUSim.simulate_conv_batch` calls, so the batched
-  schedule engine amortizes pricing exactly as the harness does;
+- **batching**: a miss is priced as soon as the pricer is free; misses
+  that arrive while a batch prices queue up and form the next batch (at
+  most ``MAX_BATCH``), grouped by hardware config into single
+  :meth:`TPUSim.simulate_conv_batch` calls, so the batched schedule
+  engine amortizes pricing exactly as the harness does;
 - **one outcome per query**: every query admission sees is one task on
   the service's :class:`~repro.resilience.supervisor.ErrorBudget`, and it
   ends in exactly one of ``succeeded`` or ``failed``, with the fault
@@ -48,11 +49,12 @@ And for everything the fault injector can throw at it (DESIGN.md §4l):
   the quarantine verdict instead of re-simulating; half-open probes
   re-admit after cooldown;
 - **a degradation ladder** driven by an SLO watchdog over the error
-  ratio and p99 latency: ``full`` batched simulation → ``serial``
-  simulation → ``store-only`` (warm hits served, misses an honest 503)
-  → ``drain``.  The current rung is exposed in ``/statusz``, ``repro
-  top`` and the ``repro_serve_degraded`` gauge, with a flight-recorder
-  dump on every rung change;
+  ratio and p99 latency: ``full`` batched simulation → ``store-only``
+  (warm hits served, misses an honest 503) → ``drain``.  A failed
+  group is replayed one miss at a time on every rung, so blame is
+  exact without a rung of its own.  The current rung is exposed in
+  ``/statusz``, ``repro top`` and the ``repro_serve_degraded`` gauge,
+  with a flight-recorder dump on every rung change;
 - **protocol hardening** — slowloris headers, truncated or oversized
   bodies and garbage JSON each get a clean 4xx/408 within a bounded
   time, never a hung connection or a dead worker;
@@ -63,7 +65,7 @@ And for everything the fault injector can throw at it (DESIGN.md §4l):
   single worker rather than death.
 
 Endpoints: ``GET /healthz`` (liveness: the process is up), ``GET
-/readyz`` (readiness: 503 while draining or degraded past ``serial``),
+/readyz`` (readiness: 503 while draining or degraded to ``store-only``),
 ``GET /statusz`` (live beacon snapshot for ``repro top``), ``GET
 /metrics`` (Prometheus exposition, including per-route latency
 histograms and the breaker/degradation series), ``POST /v1/conv`` (one
@@ -173,12 +175,15 @@ def _check_json_types(kind: str, cls: type, values: Dict[str, Any]) -> None:
 
 #: The degradation ladder, healthiest first.  Every rung but ``drain``
 #: answers warm memo/store hits at admission; they differ in the misses:
-#: ``full`` batches them through the batched schedule engine, ``serial``
-#: prices one at a time (exact failure attribution, no batch blast
-#: radius), ``store-only`` honestly 503s them; ``drain`` refuses all
-#: simulation work.
-LADDER_RUNGS = ("full", "serial", "store-only", "drain")
-RUNG_FULL, RUNG_SERIAL, RUNG_STORE_ONLY, RUNG_DRAIN = range(4)
+#: ``full`` prices them through the batched schedule engine (a failed
+#: group is replayed one miss at a time, so blame stays exact),
+#: ``store-only`` honestly 503s them; ``drain`` refuses all simulation
+#: work.
+LADDER_RUNGS = ("full", "store-only", "drain")
+RUNG_FULL, RUNG_STORE_ONLY, RUNG_DRAIN = range(3)
+
+#: Queued misses one engine batch takes at most; the rest form the next.
+MAX_BATCH = 64
 
 
 class BadRequest(ValueError):
@@ -213,11 +218,6 @@ class ServeConfig:
     port: int = 8707
     #: Pending-miss budget; a miss admitted beyond it sheds with HTTP 429.
     max_pending: int = 256
-    #: Seconds the batcher waits to let concurrent misses coalesce (warm
-    #: hits are answered at admission and never wait).
-    batch_window_s: float = 0.005
-    #: Queries drained into one ``simulate_conv_batch`` call at most.
-    max_batch: int = 64
     #: Persistent store directory ("" = serve from memo only).
     store_dir: str = ""
     #: Request workers the supervisor forks (1 = one supervised worker).
@@ -517,8 +517,12 @@ class SimulationService:
         )
 
     def record_sample(self, latency_ms: float, ok: bool) -> None:
-        """One completed query request, fuel for the SLO watchdog."""
-        self._samples.append((time.monotonic(), latency_ms, ok))
+        """One completed query request, fuel for the SLO watchdog.  A
+        request begun before the last rung change is the old rung's
+        evidence, which :meth:`set_rung` discarded: it is not counted."""
+        now = time.monotonic()
+        if now - latency_ms / 1000.0 >= self._rung_changed_at:
+            self._samples.append((now, latency_ms, ok))
 
     async def _watchdog_loop(self) -> None:
         while True:
@@ -649,7 +653,9 @@ class SimulationService:
             else:
                 future.set_exception(refusal)
 
-    def _withdraw(self, flight: _Flight, future: asyncio.Future) -> None:
+    def _withdraw(
+        self, flight: _Flight, future: Optional[asyncio.Future] = None
+    ) -> None:
         """A queued flight whose last waiter is done (cancelled or refused)
         leaves unpriced and gives back its probe slot; one already pricing
         stays in flight, for a later identical query to join."""
@@ -673,15 +679,17 @@ class SimulationService:
         while True:
             await self._wakeup.wait()
             self._wakeup.clear()
-            if not self._queue:
-                continue
-            # Let a burst of concurrent clients coalesce into one batch.
-            await asyncio.sleep(self.config.batch_window_s)
-            batch = self._queue[: self.config.max_batch]
+            # A request refused at admission fails the futures it queued in
+            # the same loop step, but their _withdraw callbacks run after
+            # this wake-up: withdraw those flights before taking a batch.
+            for flight in list(self._queue):
+                self._withdraw(flight)
+            batch = self._queue[:MAX_BATCH]
             del self._queue[: len(batch)]
             if self._queue:
                 self._wakeup.set()
-            await self._price_batch(batch)
+            if batch:
+                await self._price_batch(batch)
 
     @staticmethod
     def _check_poison(specs: List[ConvSpec]) -> None:
@@ -776,20 +784,14 @@ class SimulationService:
             obs_log.warning("serve.quarantine_write_failed", error=str(err))
 
     async def _price_batch(self, batch: List[_Flight]) -> None:
-        # Group by (config, group_size mode, layout): one engine call each,
-        # or one per flight on the serial rung (exact attribution, no batch
-        # blast radius).
+        # Group by (config, group_size mode, layout): one engine call each.
         groups: Dict[Tuple, List[_Flight]] = {}
         for flight in batch:
             query = flight.query
             group = (query.key[1], query.group_size, query.layout)
             groups.setdefault(group, []).append(flight)
         for flights in groups.values():
-            if self.rung >= RUNG_SERIAL:
-                for flight in flights:
-                    await self._price_group([flight])
-            else:
-                await self._price_group(flights)
+            await self._price_group(flights)
             self._publish()
 
     async def _price_group(self, flights: List[_Flight]) -> None:
@@ -1006,9 +1008,18 @@ class ReproServer:
         )
         if route.startswith("/v1/"):
             # Watchdog evidence: sheds and 5xx are failures, a breaker's
-            # fast 422 and client errors are healthy fast paths.
-            self.service.record_sample(
-                elapsed * 1000.0, ok=status < 500 and status != 429
+            # fast 422 and client errors are healthy fast paths.  So is the
+            # store-only rung's StoreOnlyMiss (the only 503 a query route
+            # answers there short of a drain): counted as a failure, each
+            # cold spec would keep the rung from ever recovering.
+            service = self.service
+            store_only_miss = (
+                status == 503 and service.rung == RUNG_STORE_ONLY
+                and not service.draining
+            )
+            service.record_sample(
+                elapsed * 1000.0,
+                ok=store_only_miss or (status < 500 and status != 429),
             )
         try:
             data = payload.encode("utf-8")
@@ -1467,11 +1478,6 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
                         help="persistent result store to warm-start from / write through to")
     parser.add_argument("--max-pending", type=int, default=defaults.max_pending,
                         help="pending-miss budget before load-shedding (429)")
-    parser.add_argument("--batch-window", type=float, default=defaults.batch_window_s,
-                        metavar="S", help="coalescing window for misses before "
-                             "each engine batch (warm hits never wait)")
-    parser.add_argument("--max-batch", type=int, default=defaults.max_batch,
-                        help="queries per simulate_conv_batch call at most")
     parser.add_argument("--default-deadline-ms", type=float,
                         default=defaults.default_deadline_ms, metavar="MS",
                         help="per-request deadline when no X-Repro-Deadline-Ms "
@@ -1515,7 +1521,6 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args, store_dir: str) -> ServeConfig:
     return ServeConfig(
         host=args.host, port=args.port, max_pending=args.max_pending,
-        batch_window_s=args.batch_window, max_batch=args.max_batch,
         store_dir=store_dir, workers=args.workers,
         default_deadline_ms=args.default_deadline_ms,
         breaker_threshold=args.breaker_threshold,
@@ -1602,19 +1607,14 @@ def serve(args: argparse.Namespace) -> int:
     # worker can only die of a bad setting, and the supervisor respawns it.
     for bad, message in (  # each breaks the daemon by construction
         (args.workers < 1, f"--workers must be at least 1, got {args.workers}"),
-        (args.max_batch < 1,
-         f"--max-batch must be at least 1, got {args.max_batch}"),
         (args.max_pending < 1,
          f"--max-pending must be at least 1, got {args.max_pending}"),
+        # Each test is "not good", so NaN, which fails every comparison,
+        # is refused too: it times every miss out at once, never breaches
+        # an SLO, and cools a breaker down at once.
         (not args.default_deadline_ms > 0,
          f"--default-deadline-ms must be positive, "
          f"got {args.default_deadline_ms}"),
-        # Each test is "not good", so NaN, which fails every comparison,
-        # is refused too: it never sleeps out a batch window, never
-        # breaches an SLO, and cools a breaker down at once.
-        (not (math.isfinite(args.batch_window) and args.batch_window >= 0),
-         f"--batch-window must be finite and at least 0, "
-         f"got {args.batch_window}"),
         (not args.slo_p99_ms > 0,
          f"--slo-p99-ms must be positive, got {args.slo_p99_ms}"),
         (not args.slo_error_ratio >= 0,

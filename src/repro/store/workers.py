@@ -114,7 +114,7 @@ def supervise(args, config, run_id) -> int:
     sock.set_inheritable(True)
     host, port = sock.getsockname()[:2]
     print(f"serve: listening on http://{host}:{port} "
-          f"(max_pending={config.max_pending}, max_batch={config.max_batch}, "
+          f"(max_pending={config.max_pending}, "
           f"workers={config.workers}, run={run_id})",
           flush=True)
     obs_log.info(

@@ -3,9 +3,9 @@
 the channel-first implicit im2col schedule that runs convs on it."""
 
 from .config import TPUConfig, TPU_V2
-from .systolic_array import CycleAccurateArray, TileCycles, gemm_cycles, gemm_tile_cycles
+from .systolic_array import CycleAccurateArray, TileCycles, gemm_tile_cycles
 from .vector_memory import FunctionalVectorMemory, PortAccounting, VectorMemoryModel
-from .address_gen import AddressGenerator, skewed_schedule, tile_word_offsets
+from .address_gen import skewed_schedule, tile_word_offsets
 from .dma import FillEngine
 from .scheduler import (
     ScheduleResult,
@@ -29,24 +29,17 @@ from .dual_mxu import port_budget_allows, simulate_conv_dual_mxu
 from .sparse_schedule import simulate_conv_sparse, sparse_channel_first_schedule
 from .explicit_schedule import ExplicitTPUResult, simulate_conv_explicit_tpu
 from .functional_pipeline import FunctionalPipeline, PipelineStats, run_fig10_example
-from .vector_unit import (
-    batchnorm_cycles,
-    pooling_cycles,
-    skew_restore_cycles,
-    skewed_layout_overhead,
-)
+from .vector_unit import skew_restore_cycles, skewed_layout_overhead
 
 __all__ = [
     "TPUConfig",
     "TPU_V2",
     "CycleAccurateArray",
     "TileCycles",
-    "gemm_cycles",
     "gemm_tile_cycles",
     "FunctionalVectorMemory",
     "PortAccounting",
     "VectorMemoryModel",
-    "AddressGenerator",
     "skewed_schedule",
     "tile_word_offsets",
     "FillEngine",
@@ -79,8 +72,6 @@ __all__ = [
     "port_budget_allows",
     "simulate_conv_dual_mxu",
     "simulate_conv_explicit_tpu",
-    "batchnorm_cycles",
-    "pooling_cycles",
     "skew_restore_cycles",
     "skewed_layout_overhead",
 ]

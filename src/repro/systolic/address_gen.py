@@ -17,9 +17,7 @@ produces:
   the memory in fill order;
 - :func:`skewed_schedule` — the (cycle, memory, word_offset) triples after
   applying the one-cycle-per-row skew and the once-per-``word_elems``-cycles
-  serializer cadence;
-- :class:`AddressGenerator` — one row's stream as an iterator (no
-  simulator drives it; only its own tests do).
+  serializer cadence.
 
 A key property the tests pin: the address streams are *identical across
 memories modulo delay* — this is what makes the hardware a plain counter
@@ -33,7 +31,7 @@ from typing import List
 
 from ..core.conv_spec import ConvSpec
 
-__all__ = ["tile_word_offsets", "skewed_schedule", "AddressGenerator"]
+__all__ = ["tile_word_offsets", "skewed_schedule"]
 
 
 def tile_word_offsets(spec: ConvSpec, word_elems: int, batch_in_word: bool = True) -> List[int]:
@@ -91,37 +89,3 @@ def skewed_schedule(
             schedule.append(ScheduledAccess(cycle=i * word_elems + k, row=k, word_offset=off))
     schedule.sort(key=lambda a: (a.cycle, a.row))
     return schedule
-
-
-class AddressGenerator:
-    """Per-row offset iterator with skew, as a reusable component.
-
-    ``next_access(cycle)`` returns the word offset row ``row`` must read at
-    ``cycle``, or ``None`` when the serializer still holds data (or the
-    stream is exhausted / not yet started due to skew).
-    """
-
-    def __init__(self, offsets: List[int], row: int, word_elems: int):
-        if row < 0 or word_elems <= 0:
-            raise ValueError("row must be >= 0 and word_elems positive")
-        self._offsets = list(offsets)
-        self._row = row
-        self._word_elems = word_elems
-
-    def next_access(self, cycle: int):
-        phase = cycle - self._row
-        if phase < 0 or phase % self._word_elems != 0:
-            return None
-        index = phase // self._word_elems
-        if index >= len(self._offsets):
-            return None
-        return self._offsets[index]
-
-    def total_port_reads(self) -> int:
-        return len(self._offsets)
-
-    def finish_cycle(self) -> int:
-        """Cycle after which this row issues no further port reads."""
-        if not self._offsets:
-            return self._row
-        return (len(self._offsets) - 1) * self._word_elems + self._row

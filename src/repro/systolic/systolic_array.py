@@ -10,8 +10,8 @@ Two fidelity levels, as described in DESIGN.md:
   / Fig 11 worked examples and the tests); its numerics are checked against
   plain matrix multiplication.
 
-- :func:`gemm_tile_cycles` / :func:`gemm_cycles` give the closed-form cycle
-  counts the event-driven layer simulator uses: per weight tile, the array is
+- :func:`gemm_tile_cycles` gives the closed-form cycle counts the
+  event-driven layer simulator uses: per weight tile, the array is
   busy for ``weight_load + M + K_t + N_t + setup`` cycles (load the
   stationary tile, stream M rows, fill/drain the pipeline).  The cycle-exact
   model's counts match the closed form exactly for single tiles — a test
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import TPUConfig
 
-__all__ = ["CycleAccurateArray", "TileCycles", "gemm_tile_cycles", "gemm_cycles"]
+__all__ = ["CycleAccurateArray", "TileCycles", "gemm_tile_cycles"]
 
 
 class CycleAccurateArray:
@@ -176,22 +176,3 @@ def gemm_tile_cycles(m: int, k_t: int, n_t: int, config: TPUConfig) -> TileCycle
         pipeline=float(k_t + n_t - 1),
         setup=config.tile_setup_cycles,
     )
-
-
-def gemm_cycles(m: int, k: int, n: int, config: TPUConfig) -> float:
-    """Compute-side cycles for a full GEMM tiled over the stationary array.
-
-    K and N are split into array-sized stationary tiles; every tile streams
-    all M rows.  Weight loads for tile ``i+1`` cannot overlap tile ``i``'s
-    streaming in the baseline TPU-v2 model (single weight path), so tiles
-    serialise.  Memory time is handled by the caller (DMA overlap model).
-    """
-    if m <= 0 or k <= 0 or n <= 0:
-        raise ValueError("GEMM dims must be positive")
-    total = 0.0
-    for k0 in range(0, k, config.array_rows):
-        k_t = min(config.array_rows, k - k0)
-        for n0 in range(0, n, config.array_cols):
-            n_t = min(config.array_cols, n - n0)
-            total += gemm_tile_cycles(m, k_t, n_t, config).total
-    return total

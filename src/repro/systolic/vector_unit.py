@@ -6,8 +6,6 @@ other non-GEMM layers such as pooling and batch normalization" — the vector
 ALUs that run those layers want a plain layout.  This module models exactly
 that trade-off:
 
-- :func:`pooling_cycles` / :func:`batchnorm_cycles` — vector-unit timing for
-  the two non-GEMM layers the paper names (Tbl. II: 256 vector ALUs);
 - :func:`skew_restore_cycles` — the cost of physically skewing/unskewing a
   feature map across the 128 vector memories (each element moves once
   through the vector unit, plus it occupies the memories' ports);
@@ -16,7 +14,7 @@ that trade-off:
   layer sandwiched between convolutions.
 
 The extensions experiment prices the two skew functions to put a number on
-the paper's qualitative dismissal; no command prices pooling or batch norm.
+the paper's qualitative dismissal.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from ..core.conv_spec import ConvSpec
 from .config import TPUConfig, TPU_V2
 
 __all__ = [
-    "pooling_cycles",
-    "batchnorm_cycles",
     "skew_restore_cycles",
     "skewed_layout_overhead",
 ]
@@ -39,23 +35,6 @@ def _vector_op_cycles(elements: int, ops_per_element: float, config: TPUConfig) 
     if elements <= 0:
         raise ValueError("elements must be positive")
     return elements * ops_per_element / config.vector_alus
-
-
-def pooling_cycles(
-    spec: ConvSpec, window: int = 2, stride: int = 2, config: TPUConfig = TPU_V2
-) -> float:
-    """Max-pool over the layer's OFMap: window^2 compares per output."""
-    if window <= 0 or stride <= 0:
-        raise ValueError("window and stride must be positive")
-    out_h = max(1, (spec.h_out - window) // stride + 1)
-    out_w = max(1, (spec.w_out - window) // stride + 1)
-    outputs = spec.n * spec.c_out * out_h * out_w
-    return _vector_op_cycles(outputs, window * window, config)
-
-
-def batchnorm_cycles(spec: ConvSpec, config: TPUConfig = TPU_V2) -> float:
-    """Inference-mode BN over the OFMap: one multiply-add per element."""
-    return _vector_op_cycles(spec.ofmap_elements(), 2.0, config)
 
 
 def skew_restore_cycles(spec: ConvSpec, config: TPUConfig = TPU_V2) -> float:

@@ -11,12 +11,9 @@ import pytest
 
 from repro.perf.cache import clear_cache
 from repro.store import attach, detach
-from repro.store.serve import (
-    ReproServer,
-    ServeConfig,
-    SimulationService,
-    http_request,
-)
+from repro.store.serve import http_request
+
+from .conftest import boot, hold_pricing, joins, until
 
 SPEC = {"n": 2, "c_in": 32, "h_in": 14, "w_in": 14, "c_out": 64,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
@@ -36,17 +33,9 @@ def clean_state():
     clear_cache()
 
 
-async def _boot(**overrides):
-    config = ServeConfig(host="127.0.0.1", port=0, **overrides)
-    service = SimulationService(config)
-    server = ReproServer(service)
-    host, port = await server.start()
-    return service, server, host, port
-
-
 def test_single_query_round_trip():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, body = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
@@ -74,22 +63,26 @@ def test_single_query_round_trip():
     asyncio.run(scenario())
 
 
-def test_duplicate_queries_collapse_to_one_simulation():
+def test_duplicate_queries_collapse_to_one_simulation(monkeypatch):
+    release = hold_pricing(monkeypatch)
+
     async def scenario():
-        service, server, host, port = await _boot(batch_window_s=0.05)
+        service, server, host, port = await boot()
         try:
-            answers = await asyncio.gather(*[
+            requests = asyncio.gather(*[
                 http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
                 for _ in range(8)
             ])
+            # The first miss holds the pricer; the other 7 join its flight.
+            await until(lambda: joins(service) == 7)
+            release.set()
+            answers = await requests
             assert all(status == 200 for status, _ in answers)
             bodies = [body for _, body in answers]
             assert all(body == bodies[0] for body in bodies)
             # 8 clients, one fresh engine simulation.
             assert service.simulations == 1
-            counters = service.registry.counters
-            assert counters["repro_serve_requests_total"] == 8
-            assert counters["repro_serve_deduped_total"] >= 1
+            assert service.registry.counters["repro_serve_requests_total"] == 8
         finally:
             await server.shutdown()
 
@@ -98,7 +91,7 @@ def test_duplicate_queries_collapse_to_one_simulation():
 
 def test_batch_endpoint_preserves_order():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             queries = [
                 {"spec": dict(SPEC, c_in=c, name=f"layer-{c}")}
@@ -123,7 +116,7 @@ def test_batch_endpoint_preserves_order():
 
 def test_config_override_changes_the_answer():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             _, base = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
@@ -144,19 +137,18 @@ def test_config_override_changes_the_answer():
     asyncio.run(scenario())
 
 
-def test_load_shedding_returns_429_and_counts_fault():
+def test_load_shedding_returns_429_and_counts_fault(monkeypatch):
+    release = hold_pricing(monkeypatch)
+
     async def scenario():
-        # A one-query budget and a long window: the first query sits in
-        # the batcher's coalescing window while the second is refused.
-        service, server, host, port = await _boot(
-            max_pending=1, batch_window_s=0.3
-        )
+        # A one-query budget and a held pricer: the first query stays
+        # pending while the second is refused.
+        service, server, host, port = await boot(max_pending=1)
         try:
             first = asyncio.create_task(
                 http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             )
-            await asyncio.sleep(0.05)  # admitted, still pending
-            assert service.pending == 1
+            await until(lambda: service.pending == 1)  # admitted, pending
             status, err = await http_request(
                 host, port, "POST", "/v1/conv",
                 {"spec": dict(SPEC, c_in=16, name="shed-me")},
@@ -164,6 +156,7 @@ def test_load_shedding_returns_429_and_counts_fault():
             assert status == 429 and "budget" in err["error"]
             assert service.budget.faults_by_class.get("LoadShed") == 1
             assert service.registry.counters["repro_serve_shed_total"] == 1
+            release.set()
             status, body = await first  # the admitted query still answers
             assert status == 200 and body["cycles"] > 0
         finally:
@@ -172,15 +165,18 @@ def test_load_shedding_returns_429_and_counts_fault():
     asyncio.run(scenario())
 
 
-def test_graceful_drain_answers_inflight_then_refuses():
+def test_graceful_drain_answers_inflight_then_refuses(monkeypatch):
+    release = hold_pricing(monkeypatch)
+
     async def scenario():
-        service, server, host, port = await _boot(batch_window_s=0.2)
+        service, server, host, port = await boot()
         inflight = asyncio.create_task(
             http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
         )
-        await asyncio.sleep(0.05)  # admitted, inside the batch window
-        assert service.pending == 1
+        await until(lambda: service.pending == 1)  # admitted, pricing held
         shutdown = asyncio.create_task(server.shutdown())
+        await until(lambda: service.draining)
+        release.set()
         status, body = await inflight
         assert status == 200 and body["cycles"] > 0  # drained, not dropped
         await shutdown
@@ -191,7 +187,7 @@ def test_graceful_drain_answers_inflight_then_refuses():
 
 def test_draining_server_refuses_with_503():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             service.draining = True
             status, err = await http_request(
@@ -208,7 +204,7 @@ def test_draining_server_refuses_with_503():
 def test_metrics_exposition_includes_serve_and_store_series(tmp_path):
     async def scenario():
         attach(tmp_path / "store")
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             await http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             status, text = await http_request(host, port, "GET", "/metrics")
@@ -228,7 +224,7 @@ def test_metrics_exposition_includes_serve_and_store_series(tmp_path):
 def test_serve_warm_starts_from_persistent_store(tmp_path):
     async def cold():
         attach(tmp_path / "store")
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             await http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             assert service.simulations == 1
@@ -237,7 +233,7 @@ def test_serve_warm_starts_from_persistent_store(tmp_path):
 
     async def warm():
         store = attach(tmp_path / "store")
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, body = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}

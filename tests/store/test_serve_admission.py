@@ -2,8 +2,8 @@
 
 ``SimulationService.submit`` answers a memo or store hit itself, at every
 rung of the ladder, through ``TPUSim.lookup_conv``: the hit is counted,
-audited and traced like any priced layer, and only misses wait for the
-batch window.  These tests pin that one story across the memo counters,
+audited and traced like any priced layer, and only misses queue for the
+pricer.  These tests pin that one story across the memo counters,
 the ``repro_serve_*`` series, ``/statusz`` and the beacon; that audits and
 traces see every served answer; that a half-open breaker's probe always
 reports back; and that a deadline is charged only to the query that
@@ -23,18 +23,12 @@ from repro.obs.flight import beacon as beacon_mod
 from repro.perf.cache import SIM_CACHE, clear_cache
 from repro.resilience.breaker import CLOSED, BreakerPolicy, BreakerRegistry
 from repro.store import attach, detach
-from repro.store.serve import (
-    RUNG_FULL,
-    RUNG_STORE_ONLY,
-    Query,
-    ReproServer,
-    ServeConfig,
-    SimulationService,
-    http_request,
-)
+from repro.store.serve import RUNG_FULL, RUNG_STORE_ONLY, Query, http_request
 from repro.systolic.simulator import TPUSim
 from repro.trace import context as tc
 from repro.trace import tracer as trace
+
+from .conftest import boot, hold_pricing, joins, until
 
 SPEC = {"n": 1, "c_in": 16, "h_in": 7, "w_in": 7, "c_out": 16,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
@@ -54,15 +48,6 @@ def clean_state():
     detach()
     clear_cache()
     beacon_mod.reset_beacon()
-
-
-async def _boot(**overrides):
-    overrides.setdefault("watchdog", False)
-    config = ServeConfig(host="127.0.0.1", port=0, **overrides)
-    service = SimulationService(config)
-    server = ReproServer(service, run_id="admission-test")
-    host, port = await server.start()
-    return service, server, host, port
 
 
 def _metric(text, name):
@@ -90,7 +75,7 @@ def _half_open(service, spec):
 
 def test_warm_repeat_skips_the_batch_and_every_count_agrees():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             for _ in range(2):
                 status, _ = await http_request(
@@ -122,7 +107,7 @@ def test_warm_repeat_skips_the_batch_and_every_count_agrees():
 @pytest.mark.parametrize("rung", sorted(RUNGS))
 def test_warm_hit_is_audited(rung):
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
@@ -146,7 +131,7 @@ def test_warm_hit_is_audited(rung):
 
 def test_store_only_hit_is_traced_under_its_request():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
@@ -183,7 +168,7 @@ def test_store_only_hit_is_traced_under_its_request():
 @pytest.mark.parametrize("rung", sorted(RUNGS))
 def test_half_open_breaker_closes_on_a_warm_probe(rung):
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
@@ -206,7 +191,7 @@ def test_half_open_breaker_closes_on_a_warm_probe(rung):
 @pytest.mark.parametrize("refusal", ["shed", "store-only-miss"])
 def test_refused_probe_gives_its_slot_back(refusal):
     async def scenario():
-        service, server, host, port = await _boot(
+        service, server, host, port = await boot(
             max_pending=0 if refusal == "shed" else 256
         )
         try:
@@ -232,38 +217,36 @@ def test_refused_probe_gives_its_slot_back(refusal):
     asyncio.run(scenario())
 
 
-def test_full_backlog_sheds_a_miss_but_answers_a_warm_hit():
+def test_full_backlog_sheds_a_miss_but_answers_a_warm_hit(monkeypatch):
     """``--max-pending`` bounds the backlog of misses: while it is full a
     new miss is shed, a warm hit is answered at admission and a query that
     joins the miss in flight is admitted."""
     other = dict(COLD, c_out=48, name="other-cold-spec")
 
     async def scenario():
-        service, server, host, port = await _boot(
-            max_pending=1, batch_window_s=0.3
-        )
+        service, server, host, port = await boot(max_pending=1)
         try:
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
             )
             assert status == 200
+            release = hold_pricing(monkeypatch)
             cold = asyncio.ensure_future(
                 http_request(host, port, "POST", "/v1/conv", {"spec": COLD})
             )
-            deadline = time.monotonic() + 5.0
-            while service.pending < 1 and time.monotonic() < deadline:
-                await asyncio.sleep(0.005)
-            assert service.pending == 1
+            await until(lambda: service.pending == 1)
             shed, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": other}
             )
             warm, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
             )
-            joined = await http_request(
-                host, port, "POST", "/v1/conv", {"spec": COLD}
+            joined = asyncio.ensure_future(
+                http_request(host, port, "POST", "/v1/conv", {"spec": COLD})
             )
-            first = await cold
+            await until(lambda: joins(service) == 1)
+            release.set()
+            first, joined = await cold, await joined
         finally:
             await server.shutdown()
         return service, shed, warm, first, joined
@@ -281,7 +264,7 @@ def test_serve_counts_a_store_miss_once(tmp_path):
     store = attach(tmp_path / "store")
 
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             for _ in range(2):
                 status, _ = await http_request(
@@ -305,7 +288,7 @@ def test_serve_counts_a_store_miss_once(tmp_path):
 
 def test_corrupt_warm_entry_fails_its_audit_at_admission():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
@@ -351,7 +334,7 @@ def test_deadline_is_charged_only_to_the_late_query(monkeypatch):
     monkeypatch.setattr(TPUSim, "simulate_conv_batch", slow_nchw)
 
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}

@@ -14,12 +14,9 @@ import pytest
 
 from repro.perf.cache import clear_cache
 from repro.store import detach
-from repro.store.serve import (
-    ReproServer,
-    ServeConfig,
-    SimulationService,
-    http_request,
-)
+from repro.store.serve import http_request
+
+from .conftest import boot
 
 SPEC = {"n": 1, "c_in": 8, "h_in": 7, "w_in": 7, "c_out": 8,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
@@ -35,15 +32,8 @@ def clean_state():
     clear_cache()
 
 
-async def _boot(**overrides):
-    overrides.setdefault("header_timeout_s", 0.3)
-    overrides.setdefault("body_timeout_s", 0.3)
-    overrides.setdefault("watchdog", False)
-    config = ServeConfig(host="127.0.0.1", port=0, **overrides)
-    service = SimulationService(config)
-    server = ReproServer(service, run_id="malformed-test")
-    host, port = await server.start()
-    return service, server, host, port
+#: Protocol timeouts short enough that a stalled client is answered fast.
+TIMEOUTS = {"header_timeout_s": 0.3, "body_timeout_s": 0.3}
 
 
 async def _raw_exchange(host, port, chunks, *, pause_s=0.0, half_close=False,
@@ -88,7 +78,7 @@ async def _assert_still_serving(host, port):
 
 def test_slowloris_headers_answered_408():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot(**TIMEOUTS)
         try:
             # One header byte per pause, then stall: the 0.3s header
             # timeout fires long before the request line would complete.
@@ -98,7 +88,7 @@ def test_slowloris_headers_answered_408():
             assert _status_of(raw) == 408
             body = _body_of(raw)
             assert "headers" in body["error"]
-            assert body["run_id"] == "malformed-test"
+            assert body["run_id"] == "serve-test"
             await _assert_still_serving(host, port)
         finally:
             await server.shutdown()
@@ -108,7 +98,7 @@ def test_slowloris_headers_answered_408():
 
 def test_truncated_body_half_close_answered_400():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot(**TIMEOUTS)
         try:
             head = (b"POST /v1/conv HTTP/1.1\r\nHost: x\r\n"
                     b"Content-Length: 500\r\n\r\n")
@@ -126,7 +116,7 @@ def test_truncated_body_half_close_answered_400():
 
 def test_stalled_body_answered_408():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot(**TIMEOUTS)
         try:
             head = (b"POST /v1/conv HTTP/1.1\r\nHost: x\r\n"
                     b"Content-Length: 500\r\n\r\n")
@@ -144,7 +134,9 @@ def test_stalled_body_answered_408():
 
 def test_oversized_body_refused_413_without_reading():
     async def scenario():
-        service, server, host, port = await _boot(max_body_bytes=1024)
+        service, server, host, port = await boot(
+            **TIMEOUTS, max_body_bytes=1024
+        )
         try:
             head = (b"POST /v1/conv HTTP/1.1\r\nHost: x\r\n"
                     b"Content-Length: 1048576\r\n\r\n")
@@ -160,7 +152,9 @@ def test_oversized_body_refused_413_without_reading():
 
 def test_header_flood_refused_431():
     async def scenario():
-        service, server, host, port = await _boot(header_timeout_s=5.0)
+        service, server, host, port = await boot(
+            **dict(TIMEOUTS, header_timeout_s=5.0)
+        )
         try:
             # 1 MiB of header bytes with no terminator overruns the stream
             # limit long before the header timeout would fire.
@@ -176,7 +170,7 @@ def test_header_flood_refused_431():
 
 def test_garbage_json_and_malformed_requests_answered_400():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot(**TIMEOUTS)
         try:
             garbage = b'{"spec": {' + b"\xff\xfe nonsense"
             head = (f"POST /v1/conv HTTP/1.1\r\nHost: x\r\n"
@@ -233,7 +227,7 @@ def test_malformed_numbers_answered_400_at_parse(case):
     field, payload = MALFORMED_NUMBERS[case]
 
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot(**TIMEOUTS)
         try:
             status, body = await http_request(
                 host, port, "POST", "/v1/conv", payload
@@ -252,7 +246,7 @@ def test_malformed_numbers_answered_400_at_parse(case):
 
 def test_connect_then_close_is_not_an_error():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot(**TIMEOUTS)
         try:
             reader, writer = await asyncio.open_connection(host, port)
             writer.close()

@@ -15,15 +15,12 @@ import pytest
 from repro.obs.flight import beacon as beacon_mod
 from repro.perf.cache import clear_cache
 from repro.store import detach
-from repro.store.serve import (
-    ReproServer,
-    ServeConfig,
-    SimulationService,
-    http_request,
-)
+from repro.store.serve import http_request
 from repro.trace import context as tc
 from repro.trace import tracer as trace
 from repro.trace.export import span_forest
+
+from .conftest import boot
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -45,20 +42,12 @@ def clean_state():
     trace.set_tracer(trace.Tracer())
 
 
-async def _boot(run_id=None, **overrides):
-    config = ServeConfig(host="127.0.0.1", port=0, **overrides)
-    service = SimulationService(config)
-    server = ReproServer(service, run_id=run_id)
-    host, port = await server.start()
-    return service, server, host, port
-
-
 # ------------------------------------------------------------------ headers
 
 
 def test_responses_carry_run_and_trace_ids():
     async def scenario():
-        service, server, host, port = await _boot(run_id="run-abc")
+        service, server, host, port = await boot(run_id="run-abc")
         try:
             status, _, headers = await http_request(
                 host, port, "GET", "/healthz", return_headers=True
@@ -74,7 +63,7 @@ def test_responses_carry_run_and_trace_ids():
 
 def test_incoming_traceparent_is_honored_and_echoed():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             ctx = tc.TraceContext.new()
             status, _, headers = await http_request(
@@ -95,7 +84,7 @@ def test_incoming_traceparent_is_honored_and_echoed():
 
 def test_statusz_reflects_served_load():
     async def scenario():
-        service, server, host, port = await _boot(run_id="run-z")
+        service, server, host, port = await boot(run_id="run-z")
         try:
             for _ in range(2):
                 status, _ = await http_request(
@@ -125,7 +114,7 @@ def test_statusz_reflects_served_load():
 
 def test_metrics_expose_per_route_latency_histograms():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             await http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             await http_request(host, port, "GET", "/healthz")
@@ -153,7 +142,7 @@ def test_metrics_expose_per_route_latency_histograms():
 def test_traced_request_forms_one_connected_tree():
     async def scenario():
         trace.enable()
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             ctx = tc.TraceContext.new()
             status, _ = await http_request(
@@ -180,7 +169,7 @@ def test_traced_request_forms_one_connected_tree():
 
 def test_untraced_requests_record_no_spans():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}

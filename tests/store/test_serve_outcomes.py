@@ -18,22 +18,14 @@ import time
 
 import pytest
 
-from repro.core.layouts import Layout
 from repro.obs.flight import beacon as beacon_mod
 from repro.perf.cache import clear_cache
 from repro.resilience import faults as fault_injection
 from repro.resilience.breaker import CLOSED, BreakerPolicy, BreakerRegistry
 from repro.store import detach
-from repro.store.serve import (
-    RUNG_FULL,
-    RUNG_STORE_ONLY,
-    Query,
-    ReproServer,
-    ServeConfig,
-    SimulationService,
-    http_request,
-)
-from repro.systolic.simulator import TPUSim
+from repro.store.serve import RUNG_FULL, RUNG_STORE_ONLY, Query, http_request
+
+from .conftest import boot, hold_pricing, joins, occupy_pricer, until
 
 SPEC = {"n": 1, "c_in": 16, "h_in": 7, "w_in": 7, "c_out": 16,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
@@ -70,49 +62,31 @@ def clean_state():
     beacon_mod.reset_beacon()
 
 
-async def _boot(**overrides):
-    overrides.setdefault("watchdog", False)
-    config = ServeConfig(host="127.0.0.1", port=0, **overrides)
-    service = SimulationService(config)
-    server = ReproServer(service, run_id="outcome-test")
-    host, port = await server.start()
-    return service, server, host, port
-
-
-async def _until_pending(service, count, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while service.pending < count and time.monotonic() < deadline:
-        await asyncio.sleep(0.005)
-    assert service.pending == count
-
-
-def _slow_pricing(monkeypatch, seconds=0.3):
-    original = TPUSim.simulate_conv_batch
-
-    def slow(self, specs, group_size=None, layout=Layout.NHWC):
-        time.sleep(seconds)
-        return original(self, specs, group_size, layout)
-
-    monkeypatch.setattr(TPUSim, "simulate_conv_batch", slow)
-
-
 def _budget(service):
     budget = service.budget
     return budget.tasks, budget.succeeded, budget.failed
 
 
-def test_a_joiner_shares_its_flights_failure():
+def test_a_joiner_shares_its_flights_failure(monkeypatch):
     fault_injection.activate(
         fault_injection.FaultPlan.parse("poison=hostile,seed=3")
     )
+    release = hold_pricing(monkeypatch)
 
     async def scenario():
-        service, server, host, port = await _boot(batch_window_s=0.1)
+        service, server, host, port = await boot()
         try:
-            answers = await asyncio.gather(*[
+            # The poison check fails before the engine runs, so the pair
+            # queues behind a held miss to meet as one flight.
+            blocker = await occupy_pricer(service, host, port, _cold(8))
+            requests = asyncio.gather(*[
                 http_request(host, port, "POST", "/v1/conv", {"spec": POISON})
                 for _ in range(2)
             ])
+            await until(lambda: joins(service) == 1)
+            release.set()
+            answers = await requests
+            await blocker
         finally:
             await server.shutdown()
         return service, answers
@@ -120,24 +94,25 @@ def test_a_joiner_shares_its_flights_failure():
     service, answers = asyncio.run(scenario())
     assert [status for status, _ in answers] == [500, 500]
     assert service.registry.counters["repro_serve_deduped_total"] == 1
-    assert _budget(service) == (2, 0, 2)
+    assert _budget(service) == (3, 1, 2)  # the blocker succeeded
     assert service.budget.faults_by_class == {"AuditFault": 2}
 
 
 def test_a_timed_out_waiter_is_charged_while_another_still_waits(monkeypatch):
-    _slow_pricing(monkeypatch)
+    release = hold_pricing(monkeypatch)
 
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             patient = asyncio.ensure_future(
                 http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             )
-            await _until_pending(service, 1)
+            await until(lambda: service.pending == 1)
             impatient, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
                 headers={"X-Repro-Deadline-Ms": "50"},
             )
+            release.set()
             status, body = await patient
         finally:
             await server.shutdown()
@@ -152,25 +127,30 @@ def test_a_timed_out_waiter_is_charged_while_another_still_waits(monkeypatch):
     assert counters["repro_serve_deadline_timeouts_total"] == 1
 
 
-def test_a_withdrawn_probe_gives_its_slot_back():
+def test_a_withdrawn_probe_gives_its_slot_back(monkeypatch):
     cold = _cold(40)
     now = [0.0]
+    release = hold_pricing(monkeypatch)
 
     async def scenario():
-        service, server, host, port = await _boot(batch_window_s=0.5)
+        service, server, host, port = await boot()
         try:
             service.breakers = BreakerRegistry(
                 BreakerPolicy(threshold=1, cooldown_s=1.0),
                 clock=lambda: now[0],
             )
-            fingerprint = Query.parse({"spec": cold}).fingerprint
+            query = Query.parse({"spec": cold})
+            fingerprint = query.fingerprint
             service.breakers.record_failure(fingerprint, "AuditFault", "test")
             now[0] = 2.0  # cooled down: the next request is the probe
-            probe, _ = await http_request(
+            blocker = await occupy_pricer(service, host, port, _cold(8))
+            probe, _ = await http_request(  # queued behind the blocker
                 host, port, "POST", "/v1/conv", {"spec": cold},
                 headers={"X-Repro-Deadline-Ms": "50"},
             )
-            assert service._queue == [] and service._inflight == {}
+            assert service._queue == [] and query.key not in service._inflight
+            release.set()
+            await blocker
             now[0] = 1000.0
             status, body = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": cold}
@@ -187,10 +167,10 @@ def test_a_withdrawn_probe_gives_its_slot_back():
 
 
 def test_a_query_joins_the_pricing_of_an_abandoned_miss(monkeypatch):
-    _slow_pricing(monkeypatch)
+    release = hold_pricing(monkeypatch)
 
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             abandoned, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
@@ -198,11 +178,13 @@ def test_a_query_joins_the_pricing_of_an_abandoned_miss(monkeypatch):
             )
             # The abandoned miss is still pricing: this identical query
             # must join it, not queue a second copy.
-            status, body = await http_request(
+            joined = asyncio.ensure_future(http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
-            )
-            await asyncio.sleep(0.5)  # any second pricing would end here
-        finally:
+            ))
+            await until(lambda: joins(service) == 1)
+            release.set()
+            status, body = await joined
+        finally:  # the drain would price a second copy, had one queued
             await server.shutdown()
         return service, abandoned, status, body
 
@@ -219,7 +201,7 @@ def test_a_query_joins_the_pricing_of_an_abandoned_miss(monkeypatch):
 
 def test_a_refused_batch_prices_and_books_none_of_its_queries():
     async def scenario():
-        service, server, host, port = await _boot(max_pending=1)
+        service, server, host, port = await boot(max_pending=1)
         try:
             # The first cold query is admitted; the second is shed, and
             # the whole request with it.
@@ -243,7 +225,7 @@ def test_a_refused_batch_books_its_warm_query_as_refused():
     """A warm query is answered at admission, before a later query of the
     same batch is shed: the client sees the 429, so the budget must too."""
     async def scenario():
-        service, server, host, port = await _boot(max_pending=1)
+        service, server, host, port = await boot(max_pending=1)
         try:
             for _ in range(2):  # price SPEC cold, then hit it warm
                 status, _ = await http_request(
@@ -268,14 +250,14 @@ def test_a_refused_batch_books_its_warm_query_as_refused():
     assert service._refused == {}
 
 
-def test_every_outcome_is_counted_once_and_the_counts_agree():
+def test_every_outcome_is_counted_once_and_the_counts_agree(monkeypatch):
     fault_injection.activate(
         fault_injection.FaultPlan.parse("poison=hostile,seed=3")
     )
 
     async def scenario():
-        service, server, host, port = await _boot(
-            batch_window_s=0.3, max_pending=1, breaker_threshold=1
+        service, server, host, port = await boot(
+            max_pending=3, breaker_threshold=1
         )
 
         async def post(spec, headers=None):
@@ -288,19 +270,26 @@ def test_every_outcome_is_counted_once_and_the_counts_agree():
         try:
             statuses.append(await post(SPEC))  # a miss
             statuses.append(await post(SPEC))  # a warm hit
-            statuses += await asyncio.gather(  # a joined miss
-                post(_cold(24)), post(_cold(24))
-            )
-            statuses += await asyncio.gather(  # a poisoned joined pair
-                post(POISON), post(POISON)
-            )
+            release = hold_pricing(monkeypatch)
+            blocker = await occupy_pricer(service, host, port, _cold(8))
+            joined = [  # a joined miss and a poisoned joined pair
+                asyncio.ensure_future(post(spec))
+                for spec in (_cold(24), _cold(24), POISON, POISON)
+            ]
+            await until(lambda: joins(service) == 2)
+            release.set()
+            statuses.append((await blocker)[0])
+            statuses += [await request for request in joined]
             statuses.append(await post(POISON))  # a breaker fast-fail
+            release = hold_pricing(monkeypatch)
+            service.config.max_pending = 1
             patient = asyncio.ensure_future(post(_cold(32)))
-            await _until_pending(service, 1)
+            await until(lambda: service.pending == 1)
             statuses.append(await post(_cold(48)))  # a shed
             statuses.append(  # times out while its co-waiter is answered
                 await post(_cold(32), {"X-Repro-Deadline-Ms": "50"})
             )
+            release.set()
             statuses.append(await patient)
             service.set_rung(RUNG_STORE_ONLY, "test")
             statuses.append(await post(_cold(56)))  # a store-only miss
@@ -313,7 +302,7 @@ def test_every_outcome_is_counted_once_and_the_counts_agree():
         return service, statuses
 
     service, statuses = asyncio.run(scenario())
-    assert statuses == [200, 200, 200, 200, 500, 500, 422, 429, 504, 200,
+    assert statuses == [200, 200, 200, 200, 200, 500, 500, 422, 429, 504, 200,
                         503, 503]
     budget = service.budget
     assert budget.tasks == len(statuses)
@@ -331,15 +320,16 @@ def test_every_outcome_is_counted_once_and_the_counts_agree():
 
 
 def test_a_drain_waits_for_its_last_flight_without_spinning(monkeypatch):
-    _slow_pricing(monkeypatch, seconds=0.5)
+    release = hold_pricing(monkeypatch)
 
     async def scenario():
-        service, server, host, port = await _boot(batch_window_s=0.0)
+        service, server, host, port = await boot()
         try:
             request = asyncio.ensure_future(
                 http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             )
-            await _until_pending(service, 1)
+            await until(lambda: service.pending == 1)
+            asyncio.get_running_loop().call_later(0.5, release.set)
             started = time.process_time()
             await service.drain()
             cpu_s = time.process_time() - started
@@ -352,4 +342,4 @@ def test_a_drain_waits_for_its_last_flight_without_spinning(monkeypatch):
     cpu_s, pending, status, body = asyncio.run(scenario())
     assert pending == 0
     assert status == 200 and body["cycles"] > 0
-    assert cpu_s < 0.1  # the flight sleeps 0.5 s: a poll would burn it
+    assert cpu_s < 0.1  # the flight is held 0.5 s: a poll would burn it

@@ -10,6 +10,7 @@ survival one rung at a time.
 
 import asyncio
 import re
+import time
 
 import pytest
 
@@ -20,10 +21,8 @@ from repro.store.serve import (
     LADDER_RUNGS,
     RUNG_DRAIN,
     RUNG_FULL,
-    RUNG_SERIAL,
     RUNG_STORE_ONLY,
     Query,
-    ReproServer,
     ServeConfig,
     SimulationService,
     http_request,
@@ -32,9 +31,13 @@ from repro.store.serve import (
 )
 from repro.trace import tracer as trace
 
+from .conftest import boot, hold_pricing, occupy_pricer, until
+
 SPEC = {"n": 1, "c_in": 16, "h_in": 7, "w_in": 7, "c_out": 16,
         "h_filter": 3, "w_filter": 3, "stride": 1, "padding": 1,
         "name": "robust-spec"}
+#: A cold miss of another shape, to hold the pricer with.
+BLOCKER = dict(SPEC, c_out=8, name="blocker")
 
 
 @pytest.fixture(autouse=True)
@@ -48,21 +51,12 @@ def clean_state():
     fault_injection.deactivate()
 
 
-async def _boot(**overrides):
-    overrides.setdefault("watchdog", False)
-    config = ServeConfig(host="127.0.0.1", port=0, **overrides)
-    service = SimulationService(config)
-    server = ReproServer(service, run_id="robust-test")
-    host, port = await server.start()
-    return service, server, host, port
-
-
 # --------------------------------------------------------------- Retry-After
 
 
 def test_load_shed_carries_retry_after_and_run_id():
     async def scenario():
-        service, server, host, port = await _boot(max_pending=0)
+        service, server, host, port = await boot(max_pending=0)
         try:
             status, body, headers = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
@@ -70,9 +64,9 @@ def test_load_shed_carries_retry_after_and_run_id():
             )
             assert status == 429
             assert int(headers["retry-after"]) >= 1
-            assert body["run_id"] == "robust-test"
+            assert body["run_id"] == "serve-test"
             assert body["retry_after_ms"] > 0
-            assert headers["x-repro-run-id"] == "robust-test"
+            assert headers["x-repro-run-id"] == "serve-test"
         finally:
             await server.shutdown()
 
@@ -81,7 +75,7 @@ def test_load_shed_carries_retry_after_and_run_id():
 
 def test_draining_refusal_carries_retry_after():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             service.draining = True
             status, body, headers = await http_request(
@@ -91,7 +85,7 @@ def test_draining_refusal_carries_retry_after():
             assert status == 503
             assert "draining" in body["error"]
             assert int(headers["retry-after"]) >= 1
-            assert body["run_id"] == "robust-test"
+            assert body["run_id"] == "serve-test"
         finally:
             service.draining = False
             await server.shutdown()
@@ -101,7 +95,7 @@ def test_draining_refusal_carries_retry_after():
 
 def test_retrying_client_rides_out_a_shed():
     async def scenario():
-        service, server, host, port = await _boot(max_pending=0)
+        service, server, host, port = await boot(max_pending=0)
         try:
             task = asyncio.ensure_future(
                 http_request_retry(
@@ -122,12 +116,15 @@ def test_retrying_client_rides_out_a_shed():
 # ------------------------------------------------------------------ deadlines
 
 
-def test_blown_deadline_answers_504_and_cancels_the_work():
+def test_blown_deadline_answers_504_and_cancels_the_work(monkeypatch):
+    release = hold_pricing(monkeypatch)
+
     async def scenario():
-        # A batch window far beyond the deadline: pricing cannot start
-        # before the client gives up.
-        service, server, host, port = await _boot(batch_window_s=5.0)
+        service, server, host, port = await boot()
         try:
+            # Another miss holds the pricer: this query's pricing cannot
+            # start before its client gives up.
+            blocker = await occupy_pricer(service, host, port, BLOCKER)
             status, body, headers = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
                 headers={"X-Repro-Deadline-Ms": "60"},
@@ -139,31 +136,37 @@ def test_blown_deadline_answers_504_and_cancels_the_work():
             # Cooperative cancellation: the abandoned query left the queue
             # and the in-flight table — no engine time will be spent on it.
             assert service._queue == []
-            assert service._inflight == {}
+            assert Query.parse({"spec": SPEC}).key not in service._inflight
             assert service.budget.faults_by_class.get("DeadlineExceeded") == 1
             assert (
                 service.registry.counters["repro_serve_deadline_timeouts_total"]
                 == 1
             )
+            release.set()
+            await blocker
         finally:
             await server.shutdown()
+        assert service.simulations == 1  # the blocker's alone
 
     asyncio.run(scenario())
 
 
-def test_deadline_only_cancels_when_last_waiter_leaves():
+def test_deadline_only_cancels_when_last_waiter_leaves(monkeypatch):
+    release = hold_pricing(monkeypatch)
+
     async def scenario():
-        service, server, host, port = await _boot(batch_window_s=0.4)
+        service, server, host, port = await boot()
         try:
             patient = asyncio.ensure_future(
                 http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             )
-            await asyncio.sleep(0.05)
+            await until(lambda: service.pending == 1)
             status, _ = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
                 headers={"X-Repro-Deadline-Ms": "50"},
             )
             assert status == 504  # the impatient waiter timed out...
+            release.set()
             status, body = await patient
             assert status == 200 and body["cycles"] > 0  # ...the patient one won
         finally:
@@ -174,7 +177,7 @@ def test_deadline_only_cancels_when_last_waiter_leaves():
 
 def test_bad_deadline_header_is_a_400():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, body = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
@@ -203,7 +206,7 @@ def test_poison_spec_trips_breaker_and_half_opens(tmp_path):
         fault_injection.activate(
             fault_injection.FaultPlan.parse("poison=hostile,seed=3")
         )
-        service, server, host, port = await _boot(
+        service, server, host, port = await boot(
             breaker_threshold=2, breaker_cooldown_s=0.4
         )
         try:
@@ -264,7 +267,7 @@ def test_half_open_probe_failure_reopens():
         fault_injection.activate(
             fault_injection.FaultPlan.parse("poison=hostile,seed=3")
         )
-        service, server, host, port = await _boot(
+        service, server, host, port = await boot(
             breaker_threshold=1, breaker_cooldown_s=0.3
         )
         try:
@@ -289,17 +292,27 @@ def test_half_open_probe_failure_reopens():
     asyncio.run(scenario())
 
 
-def test_batch_failure_attributed_serially_not_collectively():
+def test_batch_failure_attributed_serially_not_collectively(monkeypatch):
     """A poison spec co-batched with innocents must not poison them."""
+    groups = []
+    price_group = SimulationService._price_group
+
+    async def spy(self, flights):
+        groups.append(sorted(f.query.spec.name for f in flights))
+        await price_group(self, flights)
+
+    monkeypatch.setattr(SimulationService, "_price_group", spy)
+    release = hold_pricing(monkeypatch)
 
     async def scenario():
         fault_injection.activate(
             fault_injection.FaultPlan.parse("poison=hostile,seed=3")
         )
-        service, server, host, port = await _boot(
-            batch_window_s=0.1, breaker_threshold=1
-        )
+        service, server, host, port = await boot(breaker_threshold=1)
         try:
+            # A third miss holds the pricer, so the two queue behind it
+            # and are taken as one batch.
+            blocker = await occupy_pricer(service, host, port, BLOCKER)
             good = asyncio.ensure_future(
                 http_request(host, port, "POST", "/v1/conv", {"spec": SPEC})
             )
@@ -308,9 +321,20 @@ def test_batch_failure_attributed_serially_not_collectively():
                     host, port, "POST", "/v1/conv", {"spec": _poison_spec()}
                 )
             )
+            await until(lambda: len(service._queue) == 2)
+            release.set()
             (good_status, good_body), (bad_status, bad_body) = (
                 await asyncio.gather(good, bad)
             )
+            await blocker
+            # One group priced poison and innocent together; its failure
+            # was replayed one flight at a time.
+            assert groups == [
+                ["blocker"],
+                ["hostile-conv", "robust-spec"],
+                ["robust-spec"],
+                ["hostile-conv"],
+            ]
             assert good_status == 200 and good_body["cycles"] > 0
             assert bad_status == 500 and "poison" in bad_body["error"]
             # Only the hostile fingerprint has breaker history.
@@ -326,36 +350,18 @@ def test_batch_failure_attributed_serially_not_collectively():
 # -------------------------------------------------------- degradation ladder
 
 
-def test_serial_rung_still_answers():
-    async def scenario():
-        service, server, host, port = await _boot()
-        try:
-            service.set_rung(RUNG_SERIAL, "test")
-            status, body = await http_request(
-                host, port, "POST", "/v1/conv", {"spec": SPEC}
-            )
-            assert status == 200 and body["cycles"] > 0
-            assert service.simulations == 1
-            status, doc = await http_request(host, port, "GET", "/statusz")
-            assert doc["serve"]["rung"] == "serial"
-        finally:
-            await server.shutdown()
-
-    asyncio.run(scenario())
-
-
 def _metric(text, name):
     match = re.search(rf"^{name} (\S+)$", text, re.MULTILINE)
     return float(match.group(1)) if match else None
 
 
-def test_serial_rung_is_counted_and_traced_like_a_batch():
-    """A serial-rung query is a batch of one: same series, same span tree."""
+def test_priced_query_is_counted_and_traced_under_its_request():
+    """A priced miss is one batch in the series, and every engine span it
+    caused carries its request's trace id."""
 
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
-            service.set_rung(RUNG_SERIAL, "test")
             status, body, headers = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC},
                 return_headers=True,
@@ -390,7 +396,7 @@ def test_serial_rung_is_counted_and_traced_like_a_batch():
 
 def test_store_only_rung_serves_warm_refuses_cold():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, warm = await http_request(
                 host, port, "POST", "/v1/conv", {"spec": SPEC}
@@ -430,10 +436,10 @@ def test_store_only_rung_serves_warm_refuses_cold():
 
 def test_rung_changes_are_counted_and_reported():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
-            service.set_rung(RUNG_SERIAL, "test escalate")
-            service.set_rung(RUNG_SERIAL, "no-op")  # same rung: not a change
+            service.set_rung(RUNG_STORE_ONLY, "test escalate")
+            service.set_rung(RUNG_STORE_ONLY, "no-op")  # same rung: not a change
             service.set_rung(RUNG_FULL, "test recover")
             assert service.registry.counters["repro_serve_rung_changes_total"] == 2
             status, text = await http_request(host, port, "GET", "/metrics")
@@ -465,7 +471,7 @@ def test_slo_decision_escalates_on_error_ratio():
 
 def test_slo_decision_escalates_on_p99():
     samples = [(0.0, 500.0, True)] * 8
-    assert slo_decision(samples, RUNG_SERIAL, _cfg(), 10.0, 0.0) == "escalate"
+    assert slo_decision(samples, RUNG_FULL, _cfg(), 10.0, 0.0) == "escalate"
 
 
 def test_slo_decision_needs_evidence():
@@ -482,14 +488,73 @@ def test_slo_decision_never_escalates_past_store_only():
 def test_slo_decision_recovers_after_clean_quiet_window():
     clean = [(0.0, 10.0, True)] * 8
     # Too soon after the last rung change: hold.
-    assert slo_decision(clean, RUNG_SERIAL, _cfg(), 3.0, 0.0) is None
+    assert slo_decision(clean, RUNG_STORE_ONLY, _cfg(), 3.0, 0.0) is None
     # Quiet long enough and clean: step back down.
-    assert slo_decision(clean, RUNG_SERIAL, _cfg(), 10.0, 0.0) == "recover"
+    assert slo_decision(clean, RUNG_STORE_ONLY, _cfg(), 10.0, 0.0) == "recover"
     # An error in the window blocks recovery.
     dirty = clean + [(0.0, 10.0, False)]
-    assert slo_decision(dirty, RUNG_SERIAL, _cfg(), 10.0, 0.0) is None
+    assert slo_decision(dirty, RUNG_STORE_ONLY, _cfg(), 10.0, 0.0) is None
     # A healthy daemon at full fidelity needs no decision at all.
     assert slo_decision(clean, RUNG_FULL, _cfg(), 10.0, 0.0) is None
+
+
+def test_watchdog_escalates_to_store_only_and_recovers_under_cold_traffic():
+    """A poison burst takes the daemon from ``full`` to ``store-only`` in
+    one rung change.  There a cold spec's 503 is the rung answering as
+    designed, so traffic with one cold spec in ten lets it recover."""
+
+    async def scenario():
+        fault_injection.activate(
+            fault_injection.FaultPlan.parse("poison=hostile,seed=3")
+        )
+        service, server, host, port = await boot(
+            watchdog=True, slo_interval_s=0.05, slo_recovery_s=0.3,
+            breaker_threshold=1000,  # each poison request is priced, and fails
+        )
+
+        async def post(spec):
+            status, _ = await http_request(
+                host, port, "POST", "/v1/conv", {"spec": spec}
+            )
+            return status
+
+        try:
+            assert await post(SPEC) == 200  # warm from here on
+            burst = []
+            while service.rung == RUNG_FULL and len(burst) < 200:
+                burst.append(await post(_poison_spec()))
+            escalated = (service.rung_name, service.registry.counters)
+            fault_injection.deactivate()
+            statuses = []
+            for i in range(60):
+                if service.rung == RUNG_FULL:
+                    break
+                cold = dict(SPEC, c_out=8 * (i + 3), name=f"cold-{i}")
+                statuses.append(await post(cold if i % 10 == 0 else SPEC))
+                await asyncio.sleep(0.01)
+            recovered = (service.rung_name, service.registry.counters)
+        finally:
+            await server.shutdown()
+        return burst, escalated, statuses, recovered
+
+    burst, escalated, statuses, recovered = asyncio.run(scenario())
+    changes = "repro_serve_rung_changes_total"
+    assert set(burst[:-1]) == {500}  # the last may meet the new rung
+    assert (escalated[0], escalated[1][changes]) == ("store-only", 1)
+    assert statuses[0] == 503  # the first cold spec met the store-only rung
+    assert (recovered[0], recovered[1][changes]) == ("full", 2)
+
+
+def test_a_request_begun_before_a_rung_change_is_not_its_evidence():
+    # A poison request in flight when the watchdog escalates ends after
+    # the window was cleared: counted, its failure would hold the new
+    # rung for a whole window of later requests.
+    service = SimulationService(ServeConfig(watchdog=False))
+    service.set_rung(RUNG_STORE_ONLY, "test")
+    time.sleep(0.01)
+    service.record_sample(60_000.0, ok=False)  # began a minute ago
+    service.record_sample(1.0, ok=True)  # began after the change
+    assert [ok for _, _, ok in service._samples] == [True]
 
 
 # ---------------------------------------------------------------- readiness
@@ -497,13 +562,10 @@ def test_slo_decision_recovers_after_clean_quiet_window():
 
 def test_readyz_tracks_rung_and_drain():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             status, body = await http_request(host, port, "GET", "/readyz")
             assert status == 200 and body["ready"] is True
-            service.set_rung(RUNG_SERIAL, "test")
-            status, body = await http_request(host, port, "GET", "/readyz")
-            assert status == 200  # degraded but still serving simulations
             service.set_rung(RUNG_STORE_ONLY, "test")
             status, body, headers = await http_request(
                 host, port, "GET", "/readyz", return_headers=True
@@ -527,14 +589,14 @@ def test_readyz_tracks_rung_and_drain():
 
 def test_statusz_reports_breakers_and_rung():
     async def scenario():
-        service, server, host, port = await _boot()
+        service, server, host, port = await boot()
         try:
             service.breakers.record_failure("deadbeef", "AuditFault", "x")
             status, doc = await http_request(host, port, "GET", "/statusz")
             assert status == 200
             assert doc["serve"]["rung"] == "full"
             assert doc["serve"]["breakers"]["keys"] == 1
-            assert doc["run_id"] == "robust-test"
+            assert doc["run_id"] == "serve-test"
         finally:
             await server.shutdown()
 
@@ -544,4 +606,4 @@ def test_statusz_reports_breakers_and_rung():
 def test_ladder_names_are_stable():
     # The rung indices are wire format (repro_serve_degraded gauge) and
     # runbook vocabulary — renaming them is a breaking change.
-    assert LADDER_RUNGS == ("full", "serial", "store-only", "drain")
+    assert LADDER_RUNGS == ("full", "store-only", "drain")

@@ -171,9 +171,8 @@ def test_bad_inject_faults_spec_exits_2_before_forking(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--workers", "0"), ("--max-batch", "0"), ("--max-pending", "0"),
-     ("--default-deadline-ms", "0"), ("--batch-window", "nan"),
-     ("--batch-window", "inf"), ("--batch-window", "-1.0"),
+    [("--workers", "0"), ("--max-pending", "0"),
+     ("--default-deadline-ms", "0"),
      ("--slo-p99-ms", "0.0"), ("--slo-p99-ms", "-1.0"),
      ("--slo-p99-ms", "nan"), ("--slo-error-ratio", "-1.0"),
      ("--slo-error-ratio", "nan"), ("--breaker-cooldown", "-1.0"),

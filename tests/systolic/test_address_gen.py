@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ConvSpec
-from repro.systolic import AddressGenerator, skewed_schedule, tile_word_offsets
+from repro.systolic import skewed_schedule, tile_word_offsets
 
 
 @pytest.fixture
@@ -67,32 +67,3 @@ class TestSkewedSchedule:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             skewed_schedule([0], rows=0, word_elems=8)
-
-
-class TestAddressGenerator:
-    def test_skew_delays_start(self):
-        gen = AddressGenerator([10, 11, 12], row=3, word_elems=4)
-        assert gen.next_access(0) is None
-        assert gen.next_access(3) == 10
-        assert gen.next_access(7) == 11
-
-    def test_cadence_gaps_return_none(self):
-        gen = AddressGenerator([10, 11], row=0, word_elems=4)
-        assert gen.next_access(0) == 10
-        assert gen.next_access(1) is None
-        assert gen.next_access(4) == 11
-
-    def test_exhaustion(self):
-        gen = AddressGenerator([5], row=0, word_elems=2)
-        assert gen.next_access(0) == 5
-        assert gen.next_access(2) is None
-        assert gen.finish_cycle() == 0
-        assert gen.total_port_reads() == 1
-
-    def test_finish_cycle_with_skew(self):
-        gen = AddressGenerator([1, 2, 3], row=5, word_elems=4)
-        assert gen.finish_cycle() == 2 * 4 + 5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            AddressGenerator([1], row=-1, word_elems=4)

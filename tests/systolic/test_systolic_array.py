@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.systolic import CycleAccurateArray, TPU_V2, gemm_cycles, gemm_tile_cycles
+from repro.systolic import CycleAccurateArray, TPU_V2, gemm_tile_cycles
 
 
 @pytest.fixture
@@ -84,16 +84,3 @@ class TestValidation:
             gemm_tile_cycles(0, 1, 1, TPU_V2)
         with pytest.raises(ValueError):
             gemm_tile_cycles(1, 300, 1, TPU_V2)  # exceeds array
-
-
-class TestFullGemmCycles:
-    def test_tiles_over_k_and_n(self):
-        cycles_small = gemm_cycles(100, 128, 128, TPU_V2)
-        cycles_2k = gemm_cycles(100, 256, 128, TPU_V2)
-        cycles_2n = gemm_cycles(100, 128, 256, TPU_V2)
-        assert cycles_2k == pytest.approx(2 * cycles_small, rel=0.1)
-        assert cycles_2n == pytest.approx(2 * cycles_small, rel=0.1)
-
-    def test_positive_dims(self):
-        with pytest.raises(ValueError):
-            gemm_cycles(0, 1, 1, TPU_V2)

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core import ConvSpec
-from repro.systolic import (
-    TPU_V2,
-    batchnorm_cycles,
-    pooling_cycles,
-    skew_restore_cycles,
-    skewed_layout_overhead,
-)
+from repro.systolic import skew_restore_cycles, skewed_layout_overhead
 from repro.workloads import vgg16
 
 
@@ -17,25 +11,6 @@ from repro.workloads import vgg16
 def layer():
     return ConvSpec(n=8, c_in=64, h_in=56, w_in=56, c_out=64,
                     h_filter=3, w_filter=3, padding=1)
-
-
-class TestVectorOps:
-    def test_pooling_cycles_formula(self, layer):
-        cycles = pooling_cycles(layer, window=2, stride=2)
-        outputs = layer.n * layer.c_out * 28 * 28
-        assert cycles == pytest.approx(outputs * 4 / TPU_V2.vector_alus)
-
-    def test_batchnorm_cycles_formula(self, layer):
-        assert batchnorm_cycles(layer) == pytest.approx(
-            layer.ofmap_elements() * 2 / TPU_V2.vector_alus
-        )
-
-    def test_bigger_windows_cost_more(self, layer):
-        assert pooling_cycles(layer, window=3, stride=2) > pooling_cycles(layer, 2, 2)
-
-    def test_validation(self, layer):
-        with pytest.raises(ValueError):
-            pooling_cycles(layer, window=0)
 
 
 class TestSkewLayout:

@@ -108,14 +108,6 @@ KEPT = {
     "repro.memory.dram:HBMConfig.burst_cycles":
         "read by HBMModel.trace_cycles (MODELING.md 3)",
     # No reason but their own tests: the next deletions.
-    "repro.systolic.address_gen:AddressGenerator":
-        _ONLY.format("tests/systolic/test_address_gen.py::TestAddressGenerator"),
-    "repro.systolic.systolic_array:gemm_cycles":
-        _ONLY.format("tests/systolic/test_systolic_array.py::TestFullGemmCycles"),
-    "repro.systolic.vector_unit:pooling_cycles":
-        _ONLY.format("tests/systolic/test_vector_unit.py::TestVectorOps"),
-    "repro.systolic.vector_unit:batchnorm_cycles":
-        _ONLY.format("tests/systolic/test_vector_unit.py::TestVectorOps"),
     "repro.core.layouts:to_nchw":
         _ONLY.format("tests/core/test_layouts.py::test_round_trip"),
     "repro.core.layouts:Layout.axes_to_nchw":
